@@ -10,13 +10,13 @@ error, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import json
+import fcntl
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import construction, retrieval, revision
+from . import construction, jsonl, retrieval, revision
 from .backend import Backend, RemoteBackend, StubBackend
 from .config import RunConfig
 from .corpus import load_corpus
@@ -42,16 +42,29 @@ def _require_file(path: str, role: str) -> Path:
 
 @contextmanager
 def _output_lock(directory: Path):
-    """One process per output directory."""
+    """One process per output directory; a lock left by a dead process is taken over."""
     directory.mkdir(parents=True, exist_ok=True)
     lock = directory / LOCK_NAME
+    dir_fd = os.open(directory, os.O_RDONLY)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise _CliError(1, f"output directory is locked by another run: {lock}") from None
-    try:
+        # An exclusive flock on the directory, released by closing it, keeps
+        # two runs that both find a stale lock from both taking it over.
+        fcntl.flock(dir_fd, fcntl.LOCK_EX)
+        try:
+            os.kill(int(lock.read_text(encoding="utf-8")), 0)
+        except (FileNotFoundError, ProcessLookupError):  # no lock, or its owner died
+            lock.unlink(missing_ok=True)
+        except (OSError, ValueError):  # unreadable, or alive under another user
+            pass
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise _CliError(1, f"output directory is locked by another run: {lock}") from None
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
+    finally:
+        os.close(dir_fd)
+    try:
         yield
     finally:
         lock.unlink(missing_ok=True)
@@ -70,34 +83,23 @@ def _make_backend(config: RunConfig) -> Backend:
     return RemoteBackend(config.backend_endpoint)
 
 
-def _read_jsonl(path: Path, required: tuple[str, ...]) -> list[dict]:
+def _read_jsonl(path: str, role: str, fields: dict[str, type | tuple[type, ...]]) -> list[dict]:
+    """An input file's records, after an optional header line; each must
+    carry ``fields`` with values of the given types."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if "header" in row and lineno == 1:
-                continue
-            missing = [key for key in required if key not in row]
-            if missing:
-                raise ParseError(f"{path}:{lineno}: missing fields {missing}")
-            rows.append(row)
+    for lineno, row in jsonl.read(_require_file(path, role)):
+        if "header" in row and lineno == 1:
+            continue
+        bad = [key for key, kind in fields.items() if not isinstance(row.get(key), kind)]
+        if bad:
+            raise ParseError(f"{path}: line {lineno}: missing or mistyped fields {bad}")
+        rows.append(row)
     return rows
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
-
-
-def _write_jsonl(path: Path, header: dict, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump({"header": header}) + "\n")
-        for row in rows:
-            fh.write(_dump(row) + "\n")
+def _load_gold(path: str) -> list:
+    with open(_require_file(path, "gold"), encoding="utf-8") as fh:
+        return load_examples(fh)
 
 
 def _warn(message: str) -> None:
@@ -106,8 +108,7 @@ def _warn(message: str) -> None:
 
 def cmd_build_db(args) -> int:
     config = _load_config(args)
-    corpus_path = _require_file(args.corpus, "corpus")
-    corpus = load_corpus(str(corpus_path))
+    corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
     backend = _make_backend(config)
     pipeline = construction.PipelineConfig(
         beam=config.beam, workers=args.workers, checkpoint_path=args.checkpoint
@@ -120,8 +121,7 @@ def cmd_build_db(args) -> int:
             **report.to_dict(),
             "stats": db.stats.to_dict(),
         }
-        report_path = args.report or f"{args.db}.report.json"
-        Path(report_path).write_text(_dump(report_payload) + "\n", encoding="utf-8")
+        jsonl.write(args.report or f"{args.db}.report.json", [report_payload])
     print(
         f"built database: {report.detected} detected -> {report.generated} generated "
         f"-> {report.verified} verified -> {report.unique_questions} unique questions"
@@ -136,14 +136,18 @@ def cmd_retrieve(args) -> int:
     if config.retrieval_mode not in ("sparse", "dense"):
         raise _CliError(2, f"unknown retrieval mode: {config.retrieval_mode}")
     db = QADatabase.load(_require_file(args.db, "database"))
-    queries = _read_jsonl(_require_file(args.queries, "queries"), ("query_id", "question"))
+    queries = _read_jsonl(args.queries, "queries", {"query_id": (str, int), "question": str})
 
     embedder = None
     if config.retrieval_mode == "dense":
         embedder = retrieval.hashing_embedder(config.embedding_dim, config.seed)
     dense_vectors = None
     if args.embeddings:
-        dense_vectors = retrieval.load_vectors(str(_require_file(args.embeddings, "embeddings")))
+        try:
+            embeddings = _require_file(args.embeddings, "embeddings")
+            dense_vectors = retrieval.load_vectors(str(embeddings))
+        except ValueError as exc:
+            raise _CliError(2, str(exc)) from exc
     index = retrieval.build_index(
         db, embedder, k1=config.bm25_k1, b=config.bm25_b, dense_vectors=dense_vectors
     )
@@ -189,7 +193,7 @@ def cmd_retrieve(args) -> int:
         "top_n": config.top_n,
     }
     with _output_lock(Path(args.out).resolve().parent):
-        _write_jsonl(Path(args.out), header, rows)
+        jsonl.write(args.out, [{"header": header}, *rows])
     print(f"wrote {len(rows)} result rows for {len(queries)} queries to {args.out}")
     return 0
 
@@ -198,7 +202,7 @@ def cmd_revise(args) -> int:
     config = _load_config(args)
     corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
     inputs = _read_jsonl(
-        _require_file(args.questions, "questions"), ("question", "answer", "passage_id")
+        args.questions, "questions", {"question": str, "answer": str, "passage_id": str}
     )
     backend = _make_backend(config)
     rows = []
@@ -213,19 +217,17 @@ def cmd_revise(args) -> int:
         rows.append(record.to_record())
     header = {"fingerprint": config.fingerprint(), "max_rounds": config.max_revision_rounds}
     with _output_lock(Path(args.out).resolve().parent):
-        _write_jsonl(Path(args.out), header, rows)
+        jsonl.write(args.out, [{"header": header}, *rows])
     print(f"wrote {len(rows)} revision records to {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
     config = _load_config(args)
-    examples = load_examples(
-        _require_file(args.gold, "gold").read_text(encoding="utf-8").splitlines()
-    )
+    examples = _load_gold(args.gold)
     if args.task == "retrieval":
         rows = _read_jsonl(
-            _require_file(args.results, "results"), ("query_id", "rank", "passage_id")
+            args.results, "results", {"query_id": (str, int), "rank": int, "passage_id": str}
         )
         if not args.corpus:
             raise _CliError(2, "the retrieval task needs --corpus for passage texts")
@@ -251,7 +253,7 @@ def cmd_eval(args) -> int:
             multi_answer_only=config.multi_answer_only,
         )
     elif args.task == "longform":
-        rows = _read_jsonl(_require_file(args.results, "predictions"), ("query_id", "output"))
+        rows = _read_jsonl(args.results, "predictions", {"query_id": (str, int), "output": str})
         predictions = {str(row["query_id"]): row["output"] for row in rows}
         overlap = {e.query_id for e in examples} & set(predictions)
         if not overlap:
@@ -267,12 +269,13 @@ def cmd_eval(args) -> int:
     payload = {"fingerprint": config.fingerprint(), **report.to_dict()}
     del payload["per_query"]
     with _output_lock(Path(args.report).resolve().parent):
-        Path(args.report).write_text(_dump(payload) + "\n", encoding="utf-8")
-        per_query_path = args.per_query or f"{args.report}.per_query.jsonl"
-        _write_jsonl(
-            Path(per_query_path),
-            {"fingerprint": config.fingerprint(), "task": report.task},
-            [{"query_id": qid, **row} for qid, row in sorted(report.per_query.items())],
+        jsonl.write(args.report, [payload])
+        jsonl.write(
+            args.per_query or f"{args.report}.per_query.jsonl",
+            [
+                {"header": {"fingerprint": config.fingerprint(), "task": report.task}},
+                *({"query_id": qid, **row} for qid, row in sorted(report.per_query.items())),
+            ],
         )
     for metric, value in sorted(report.macro.items()):
         print(f"{metric}: {value:.4f}")
@@ -282,9 +285,7 @@ def cmd_eval(args) -> int:
 def cmd_coverage(args) -> int:
     config = _load_config(args)
     db = QADatabase.load(_require_file(args.db, "database"))
-    examples = load_examples(
-        _require_file(args.gold, "gold").read_text(encoding="utf-8").splitlines()
-    )
+    examples = _load_gold(args.gold)
     try:
         fraction = db.answer_coverage(examples)
     except ContractViolation as exc:
@@ -296,7 +297,7 @@ def cmd_coverage(args) -> int:
     }
     if args.out:
         with _output_lock(Path(args.out).resolve().parent):
-            Path(args.out).write_text(_dump(payload) + "\n", encoding="utf-8")
+            jsonl.write(args.out, [payload])
     print(f"answer coverage: {fraction:.4f} ({100 * fraction:.1f}%)")
     return 0
 

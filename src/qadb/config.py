@@ -36,7 +36,6 @@ class RunConfig:
     # construction / revision
     beam: int = 32
     max_revision_rounds: int = 2
-    chunk_size: int = 100
     # misc
     seed: int = 0
 

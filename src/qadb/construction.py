@@ -10,14 +10,15 @@ whose predicted answer is "not answerable" or differs from the target.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from functools import partial
 
+from . import jsonl
 from .backend import (
     BEAM,
     NOT_ANSWERABLE,
@@ -29,6 +30,7 @@ from .backend import (
 )
 from .corpus import Corpus, Passage
 from .database import QADatabase, merge_questions
+from .errors import ParseError
 from .metrics import normalize_answer
 
 logger = logging.getLogger(__name__)
@@ -177,9 +179,8 @@ def verify(passage: Passage, qa: CandidateQA, backend: Backend) -> bool:
     return normalize_answer(prediction) == normalize_answer(qa.answer)
 
 
-def _process_passage(
-    passage: Passage, backend: Backend, beam: int
-) -> tuple[list[CandidateQA], dict, Counter]:
+def _process_passage(passage: Passage, backend: Backend, beam: int) -> dict:
+    """Run the three stages over one passage; the result is its checkpoint row."""
     records = []
     rejections: Counter = Counter()
     answers = detect_answers(passage, backend, beam)
@@ -196,51 +197,18 @@ def _process_passage(
         generated += 1
         ok = verify(passage, outcome, backend)
         verified += ok
-        records.append(replace(outcome, verified=ok))
-    tallies = {
+        records.append(replace(outcome, verified=ok).to_record())
+    return {
         "passage_id": passage.id,
         "detected": len(answers),
         "generated": generated,
         "verified": verified,
+        "rejections": dict(rejections),
+        "records": records,
     }
-    return records, tallies, rejections
 
 
-def _checkpoint_meta_path(checkpoint_path: str) -> Path:
-    return Path(str(checkpoint_path) + ".meta")
-
-
-def _load_checkpoint(checkpoint_path: str) -> tuple[dict[str, dict], dict[str, list[CandidateQA]]]:
-    """Completed passages (meta rows) and their candidate records.
-
-    Candidate rows of passages without a meta row are orphans from an
-    interrupted run and are dropped; those passages get reprocessed.
-    """
-    meta_path = _checkpoint_meta_path(checkpoint_path)
-    completed: dict[str, dict] = {}
-    if meta_path.exists():
-        with open(meta_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = json.loads(line)
-                    completed[row["passage_id"]] = row
-    records: dict[str, list[CandidateQA]] = {pid: [] for pid in completed}
-    if Path(checkpoint_path).exists():
-        with open(checkpoint_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                if row["passage_id"] in records:
-                    records[row["passage_id"]].append(
-                        CandidateQA(
-                            passage_id=row["passage_id"],
-                            answer=row["answer"],
-                            question=row["question"],
-                            verified=row["verified"],
-                        )
-                    )
-    return completed, records
+_ROW_KEYS = {"passage_id", "detected", "generated", "verified", "rejections", "records"}
 
 
 def build_database(
@@ -248,63 +216,45 @@ def build_database(
 ) -> tuple[QADatabase, FunnelReport]:
     """Run all three stages over a corpus and merge the survivors.
 
-    With a checkpoint path configured, per-passage candidate records and
-    completion markers are appended as passages finish, and a rerun skips
-    passages already completed. A backend failure aborts the run with the
-    checkpoint intact, so the run is resumable by passage id.
+    With a checkpoint path configured, each finished passage appends one
+    row (its funnel tallies, rejections and candidate records) to an
+    append-only file, and a rerun skips the passages found there. A
+    backend failure aborts the run with the checkpoint intact, so the run
+    is resumable by passage id; a row torn by a crash is dropped and its
+    passage processed again.
     """
     config = config or PipelineConfig()
+    path = config.checkpoint_path
+    entries, log = jsonl.open_log(path) if path else ([], nullcontext())
+    with log:
+        rows = []
+        for lineno, row in entries:
+            if row.keys() != _ROW_KEYS or row["passage_id"] not in corpus:
+                raise ParseError(f"{path}: line {lineno}: not a checkpoint row of this corpus")
+            rows.append(row)
+        done = {row["passage_id"] for row in rows}
+        pending = [p for p in corpus if p.id not in done]
+
+        step = partial(_process_passage, backend=backend, beam=config.beam)
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            # Stream results in corpus order, so a backend failure aborts
+            # with every passage finished so far already on disk.
+            for row in (pool.map if config.workers > 1 else map)(step, pending):
+                rows.append(row)
+                if path:
+                    log.write(jsonl.dumps(row) + "\n")
+                    log.flush()
+
     report = FunnelReport(passages=len(corpus))
     rejections: Counter = Counter()
-
-    completed: dict[str, dict] = {}
-    kept: dict[str, list[CandidateQA]] = {}
-    if config.checkpoint_path:
-        completed, kept = _load_checkpoint(config.checkpoint_path)
-
-    pending = [p for p in corpus if p.id not in completed]
-    all_records: list[CandidateQA] = [r for rows in kept.values() for r in rows]
-    for row in completed.values():
+    for row in rows:
         report.detected += row["detected"]
         report.generated += row["generated"]
         report.verified += row["verified"]
-
-    def outcomes():
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                yield from pool.map(lambda p: _process_passage(p, backend, config.beam), pending)
-        else:
-            for passage in pending:
-                yield _process_passage(passage, backend, config.beam)
-
-    checkpoint_fh = meta_fh = None
-    if config.checkpoint_path:
-        checkpoint_fh = open(config.checkpoint_path, "a", encoding="utf-8", newline="\n")
-        meta_fh = open(_checkpoint_meta_path(config.checkpoint_path), "a", encoding="utf-8", newline="\n")
-    try:
-        # Stream results so a backend failure aborts with everything
-        # finished so far already on disk.
-        for records, tallies, passage_rejections in outcomes():
-            all_records.extend(records)
-            rejections.update(passage_rejections)
-            report.detected += tallies["detected"]
-            report.generated += tallies["generated"]
-            report.verified += tallies["verified"]
-            if checkpoint_fh and meta_fh:
-                for record in records:
-                    checkpoint_fh.write(
-                        json.dumps(record.to_record(), ensure_ascii=False, sort_keys=True) + "\n"
-                    )
-                checkpoint_fh.flush()
-                meta_fh.write(json.dumps(tallies, ensure_ascii=False, sort_keys=True) + "\n")
-                meta_fh.flush()
-    finally:
-        if checkpoint_fh:
-            checkpoint_fh.close()
-        if meta_fh:
-            meta_fh.close()
-
-    db = merge_questions([r for r in all_records if r.verified])
+        rejections.update(row["rejections"])
+    db = merge_questions(
+        CandidateQA(**record) for row in rows for record in row["records"] if record["verified"]
+    )
     report.unique_questions = len(db)
     report.rejections = dict(rejections)
     return db, report

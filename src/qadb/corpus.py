@@ -6,10 +6,10 @@ counts are deterministic and independent of any model vocabulary.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+from . import jsonl
 from .errors import DuplicateId, EmptyDocument, ParseError
 
 DEFAULT_CHUNK_SIZE = 100
@@ -105,28 +105,16 @@ def ingest_passages(lines: Iterable[str]) -> Corpus:
 
     Each record must carry string fields ``id``, ``title``, ``text``.
     Blank lines are tolerated; anything else malformed raises ParseError
-    with the 1-based line number.
+    with the 1-based line number, and a repeated id raises DuplicateId.
     """
     passages = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(record, dict):
-            raise ParseError(f"line {lineno}: record is not an object")
+    for lineno, record in jsonl.parse_lines(lines):
         try:
             pid, title, text = record["id"], record["title"], record["text"]
         except KeyError as exc:
             raise ParseError(f"line {lineno}: missing field {exc}") from exc
         if not all(isinstance(v, str) for v in (pid, title, text)):
             raise ParseError(f"line {lineno}: id/title/text must be strings")
-        if pid in seen:
-            raise DuplicateId(pid)
-        seen.add(pid)
         try:
             passages.append(Passage.from_text(pid, title, text))
         except ValueError as exc:
@@ -135,10 +123,7 @@ def ingest_passages(lines: Iterable[str]) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for passage in corpus:
-            fh.write(json.dumps(passage.to_record(), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    jsonl.write(path, (passage.to_record() for passage in corpus))
 
 
 def load_corpus(path: str) -> Corpus:

@@ -11,13 +11,13 @@ exactly the provenance relation retrieval aggregates over.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import jsonl
 from .errors import ContractViolation, CorruptDatabase, FormatVersionError
 from .metrics import EvalExample, normalize_answer
 
@@ -184,40 +184,24 @@ class QADatabase:
             "question_count": len(self.questions),
             "stats": self.stats.to_dict(),
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-            for question in self.questions:
-                fh.write(json.dumps(question.to_record(), ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+        jsonl.write(path, [header, *(question.to_record() for question in self.questions)])
 
     @classmethod
     def load(cls, path: str | Path) -> "QADatabase":
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines:
+        records = jsonl.read(path, CorruptDatabase)
+        _, header = next(records, (0, None))
+        if header is None:
             raise CorruptDatabase(f"{path}: empty file")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise CorruptDatabase(f"{path}: unreadable header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        if header.get("format") != FORMAT_NAME:
             raise CorruptDatabase(f"{path}: not a {FORMAT_NAME} file")
         version = header.get("version")
         if version != FORMAT_VERSION:
             raise FormatVersionError(
                 f"{path}: format version {version} (this build reads {FORMAT_VERSION})"
             )
-        expected = header.get("question_count", 0)
-        body = lines[1:]
-        if len(body) != expected:
-            raise CorruptDatabase(
-                f"{path}: expected {expected} question records, found {len(body)}"
-            )
         questions = []
-        for lineno, line in enumerate(body, start=2):
+        for lineno, record in records:
             try:
-                record = json.loads(line)
                 questions.append(
                     MergedQuestion(
                         qid=record["qid"],
@@ -232,8 +216,13 @@ class QADatabase:
                         ),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorruptDatabase(f"{path}: bad record at line {lineno}: {exc}") from exc
+            except (KeyError, TypeError) as exc:
+                raise CorruptDatabase(f"{path}: line {lineno}: bad record: {exc}") from exc
+        expected = header.get("question_count", 0)
+        if len(questions) != expected:
+            raise CorruptDatabase(
+                f"{path}: expected {expected} question records, found {len(questions)}"
+            )
         db = cls(questions)
         if db.stats.to_dict() != header.get("stats"):
             raise CorruptDatabase(f"{path}: stored stats disagree with records")

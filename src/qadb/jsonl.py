@@ -1,0 +1,75 @@
+"""Line-delimited JSON, the one text format of every qadb file.
+
+One JSON object per line, with sorted keys and raw UTF-8, so reruns write
+identical bytes. Whole files are replaced atomically; an append-only log
+drops a last line torn by a crash when it is reopened.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from collections.abc import Iterable, Iterator
+from pathlib import Path
+from typing import TextIO
+
+from .errors import ParseError
+
+
+def dumps(record) -> str:
+    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+
+
+def parse_lines(
+    lines: Iterable[str], source: str = "", error: type[Exception] = ParseError
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, record)`` per non-blank line; bad lines raise ``error``."""
+    prefix = f"{source}: " if source else ""
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{prefix}line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise error(f"{prefix}line {lineno}: record is not an object")
+        yield lineno, record
+
+
+def read(path: str | Path, error: type[Exception] = ParseError) -> Iterator[tuple[int, dict]]:
+    # File iteration splits at newlines only; str.splitlines would also
+    # split inside records at the U+2028 that ``dumps`` leaves unescaped.
+    with open(path, encoding="utf-8") as fh:
+        yield from parse_lines(fh, str(path), error)
+
+
+def write(path: str | Path, records: Iterable) -> None:
+    """Replace ``path`` by one line per record: a reader sees the old file or the new."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for record in records:
+                fh.write(dumps(record) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def open_log(path: str | Path) -> tuple[list[tuple[int, dict]], TextIO]:
+    """An append-only log's ``(lineno, record)`` pairs and a handle to append to it.
+
+    Records are appended whole with their newline, so a last line without
+    one was torn by a crash; it is cut off, and the next append starts on
+    a fresh line.
+    """
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        fh.truncate(complete)
+    lines = data[:complete].decode("utf-8").split("\n")
+    return list(parse_lines(lines, str(path))), open(path, "a", encoding="utf-8", newline="\n")

@@ -10,7 +10,6 @@ Two matching rules coexist on purpose and are easy to confuse:
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import string
@@ -18,6 +17,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+from . import jsonl
 from .backend import NOT_ANSWERABLE, GenerationRequest, reading_qa_prompt
 from .corpus import Passage
 from .errors import ContractViolation, ParseError
@@ -229,11 +229,8 @@ class EvalExample:
 def load_examples(lines: Iterable[str]) -> list[EvalExample]:
     """Parse line-delimited JSON gold records into EvalExamples."""
     examples = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, record in jsonl.parse_lines(lines):
         try:
-            record = json.loads(line)
             examples.append(
                 EvalExample(
                     query_id=str(record["query_id"]),
@@ -245,7 +242,7 @@ def load_examples(lines: Iterable[str]) -> list[EvalExample]:
                     gold_long_answers=tuple(record.get("gold_long_answers", [])),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     return examples
 

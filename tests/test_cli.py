@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +148,36 @@ def test_retrieve_direct_with_corpus_works(tmp_path):
     assert code == 0
     _, records = _read_jsonl(out)
     assert records and all(r["method"] == "direct" for r in records)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["bad_embeddings", "number_query", "non_string_question"],
+)
+def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"query_id": "q1", "question": "where?"}) + "\n")
+    extra = []
+    if case == "bad_embeddings":
+        embeddings = tmp_path / "vectors.bin"
+        embeddings.write_bytes(b"not an embedding file")
+        extra = ["--embeddings", str(embeddings)]
+    elif case == "number_query":
+        queries.write_text("42\n")
+    else:
+        queries.write_text(json.dumps({"query_id": "q1", "question": 7}) + "\n")
+    code = main(
+        [
+            "retrieve",
+            "--db", str(DATA / "fixture.qadb"),
+            "--queries", str(queries),
+            "--out", str(tmp_path / "r.jsonl"),
+            *extra,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- eval
@@ -390,7 +423,7 @@ def test_output_lock_blocks_second_run(tmp_path, capsys):
     queries.write_text("")
     outdir = tmp_path / "outputs"
     outdir.mkdir()
-    (outdir / ".qadb.lock").write_text("12345\n")
+    (outdir / ".qadb.lock").write_text(f"{os.getpid()}\n")  # a live owner
     code = main(
         [
             "retrieve",
@@ -401,6 +434,28 @@ def test_output_lock_blocks_second_run(tmp_path, capsys):
     )
     assert code == 1
     assert "locked" in capsys.readouterr().err
+
+
+def test_output_lock_of_dead_process_is_taken_over(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("")
+    outdir = tmp_path / "outputs"
+    outdir.mkdir()
+    lock = outdir / ".qadb.lock"
+    lock.write_text(f"{child.pid}\n")
+    code = main(
+        [
+            "retrieve",
+            "--db", str(DATA / "fixture.qadb"),
+            "--queries", str(queries),
+            "--out", str(outdir / "r.jsonl"),
+        ]
+    )
+    assert code == 0
+    assert (outdir / "r.jsonl").exists()
+    assert not lock.exists()
 
 
 def test_env_var_overrides_endpoint(monkeypatch):

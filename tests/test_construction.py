@@ -1,11 +1,14 @@
+import json
 import random
 
 import pytest
 
 from fixtures import FlakyBackend, ScriptedBackend, make_toy_corpus
 
-from qadb.backend import StubBackend
+from qadb.backend import GenerationResponse, StubBackend
 from qadb.construction import (
+    REJECT_ANSWER_MISMATCH,
+    REJECT_UNPARSEABLE,
     CandidateQA,
     DetectedAnswer,
     PipelineConfig,
@@ -16,7 +19,7 @@ from qadb.construction import (
     verify,
 )
 from qadb.corpus import Corpus, Passage
-from qadb.errors import BackendUnavailable
+from qadb.errors import BackendUnavailable, ParseError
 
 STUB = StubBackend()
 
@@ -187,28 +190,41 @@ def test_pipeline_workers_match_sequential():
     assert report_seq.to_dict() == report_par.to_dict()
 
 
+class Rejecting:
+    """The stub, except that question generation fails its acceptance rules
+    for some answers; which ones depends only on the prompt."""
+
+    def generate(self, request):
+        if request.prompt.startswith("answer: "):
+            if len(request.prompt) % 3 == 0:
+                return GenerationResponse(("answer: someone else question: who?",))
+            if len(request.prompt) % 3 == 1:
+                return GenerationResponse(("no answer echoed",))
+        return STUB.generate(request)
+
+
+class Recording:
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def generate(self, request):
+        self.prompts.append(request.prompt)
+        return self.inner.generate(request)
+
+
 def test_checkpoint_resume_after_backend_failure(tmp_path):
     corpus = make_toy_corpus(6)
     marker = list(corpus)[3].text.split()[0]  # fail on the 4th passage
     checkpoint = tmp_path / "run.ckpt"
 
-    flaky = FlakyBackend(STUB, marker, fail_times=1)
+    flaky = FlakyBackend(Rejecting(), marker, fail_times=1)
     with pytest.raises(BackendUnavailable):
         build_database(corpus, flaky, PipelineConfig(checkpoint_path=str(checkpoint)))
     assert checkpoint.exists()
 
     # resume: completed passages are not re-processed
-    counting = ScriptedBackend([])  # would raise if ever called for stage 1
-
-    class Resumed:
-        def __init__(self):
-            self.prompts = []
-
-        def generate(self, request):
-            self.prompts.append(request.prompt)
-            return STUB.generate(request)
-
-    resumed = Resumed()
+    resumed = Recording(Rejecting())
     db, report = build_database(
         corpus, resumed, PipelineConfig(checkpoint_path=str(checkpoint))
     )
@@ -216,10 +232,52 @@ def test_checkpoint_resume_after_backend_failure(tmp_path):
     for prompt in resumed.prompts:
         assert not any(prompt.endswith(text) for text in finished_texts)
 
-    # the resumed run equals a clean run
-    clean_db, clean_report = build_database(corpus, STUB)
+    # the resumed run equals a clean run, rejection tallies included
+    clean_db, clean_report = build_database(corpus, Rejecting())
+    _, finished_report = build_database(Corpus(list(corpus)[:3]), Rejecting())
+    assert set(finished_report.rejections) == {REJECT_ANSWER_MISMATCH, REJECT_UNPARSEABLE}
     assert db == clean_db
     assert report.to_dict() == clean_report.to_dict()
+
+
+def test_checkpoint_resume_drops_torn_last_row(tmp_path):
+    corpus = make_toy_corpus(6)
+    checkpoint = tmp_path / "run.ckpt"
+    clean_db, clean_report = build_database(
+        corpus, Rejecting(), PipelineConfig(checkpoint_path=str(checkpoint))
+    )
+    # a crash in the middle of appending the last passage's row
+    text = checkpoint.read_text(encoding="utf-8")
+    last = text[: -1].rfind("\n") + 1
+    checkpoint.write_text(text[: last + (len(text) - last) // 2], encoding="utf-8")
+
+    resumed = Recording(Rejecting())
+    db, report = build_database(
+        corpus, resumed, PipelineConfig(checkpoint_path=str(checkpoint))
+    )
+    assert resumed.prompts and all(list(corpus)[-1].text in p for p in resumed.prompts)
+    assert db == clean_db
+    assert report.to_dict() == clean_report.to_dict()
+    lines = checkpoint.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    assert [json.loads(line)["passage_id"] for line in lines] == corpus.ids
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        # a candidate record, as the former two-file checkpoint stored them
+        {"passage_id": "doc-00#0", "answer": "a", "question": "q?", "verified": True},
+        # a complete row, but of a passage this corpus does not have
+        {"passage_id": "other#0", "detected": 1, "generated": 0, "verified": 0,
+         "rejections": {"answer_mismatch": 1}, "records": []},
+    ],
+)
+def test_checkpoint_of_another_layout_or_corpus_is_rejected(tmp_path, row):
+    checkpoint = tmp_path / "run.ckpt"
+    checkpoint.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 1"):
+        build_database(make_toy_corpus(2), STUB, PipelineConfig(checkpoint_path=str(checkpoint)))
 
 
 def test_candidate_question_must_end_with_question_mark():

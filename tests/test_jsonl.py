@@ -1,0 +1,47 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+from qadb import jsonl
+from qadb.errors import CorruptDatabase
+
+SRC = Path(__file__).parent.parent / "src" / "qadb"
+
+
+def test_only_jsonl_module_imports_json():
+    offenders = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "jsonl.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name == "json" or name.startswith("json.") for name in names):
+                offenders.append(module.name)
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    ("text", "problem"),
+    [
+        ('{"a": 1}\n\n{"a": \n', "line 3: invalid JSON"),
+        ('{"a": 1}\n[1]\n', "line 2: record is not an object"),
+    ],
+)
+def test_parse_errors_name_source_and_line(text, problem):
+    with pytest.raises(CorruptDatabase, match=f"^db.qadb: {problem}"):
+        list(jsonl.parse_lines(text.splitlines(), "db.qadb", CorruptDatabase))
+
+
+def test_write_replaces_whole_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old contents\n")
+    record = {"b": "\u2028é", "a": 1}  # U+2028 is a line break to str.splitlines
+    jsonl.write(path, [record, {}])
+    assert path.read_text(encoding="utf-8") == '{"a": 1, "b": "\u2028é"}\n{}\n'
+    assert [r for _, r in jsonl.read(path)] == [record, {}]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
