@@ -21,7 +21,7 @@ from .backend import Backend, RemoteBackend, StubBackend
 from .config import RunConfig
 from .corpus import load_corpus
 from .database import QADatabase
-from .errors import ContractViolation, ModeUnavailable, ParseError, QADBError
+from .errors import ContractViolation, DuplicateId, ModeUnavailable, ParseError, QADBError
 from .metrics import evaluate_longform, evaluate_retrieval_recall, load_examples
 
 LOCK_NAME = ".qadb.lock"
@@ -99,7 +99,7 @@ def _read_jsonl(path: str, role: str, fields: dict[str, type | tuple[type, ...]]
 
 def _load_gold(path: str) -> list:
     with open(_require_file(path, "gold"), encoding="utf-8") as fh:
-        return load_examples(fh)
+        return load_examples(fh, path)
 
 
 def _warn(message: str) -> None:
@@ -361,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, ContractViolation, FileNotFoundError) as exc:
+    except (ParseError, DuplicateId, ContractViolation, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QADBError as exc:

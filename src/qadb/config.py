@@ -51,20 +51,24 @@ class RunConfig:
         values: dict[str, object] = {}
         defaults = {f.name: f.default for f in fields(cls)}
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in defaults:
-                    raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
-                try:
-                    values[key] = _coerce(value, defaults[key])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in defaults:
+                raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _coerce(value, defaults[key])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
         return cls(**values)
 
     def to_dict(self) -> dict:

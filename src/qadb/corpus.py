@@ -52,7 +52,7 @@ class Corpus:
         self._by_id: dict[str, int] = {}
         for passage in passages:
             if passage.id in self._by_id:
-                raise DuplicateId(passage.id)
+                raise DuplicateId(f"duplicate passage id {passage.id!r}")
             self._by_id[passage.id] = len(self._passages)
             self._passages.append(passage)
 
@@ -100,26 +100,31 @@ def chunk_document(title: str, body: str, chunk_size: int = DEFAULT_CHUNK_SIZE) 
     return passages
 
 
-def ingest_passages(lines: Iterable[str]) -> Corpus:
+def ingest_passages(lines: Iterable[str], source: str = "") -> Corpus:
     """Build a Corpus from a stream of line-delimited JSON records.
 
     Each record must carry string fields ``id``, ``title``, ``text``.
     Blank lines are tolerated; anything else malformed raises ParseError
     with the 1-based line number, and a repeated id raises DuplicateId.
+    Messages start with ``source``, the file name, when one is given.
     """
+    prefix = f"{source}: " if source else ""
     passages = []
-    for lineno, record in jsonl.parse_lines(lines):
+    for lineno, record in jsonl.parse_lines(lines, source):
         try:
             pid, title, text = record["id"], record["title"], record["text"]
         except KeyError as exc:
-            raise ParseError(f"line {lineno}: missing field {exc}") from exc
+            raise ParseError(f"{prefix}line {lineno}: missing field {exc}") from exc
         if not all(isinstance(v, str) for v in (pid, title, text)):
-            raise ParseError(f"line {lineno}: id/title/text must be strings")
+            raise ParseError(f"{prefix}line {lineno}: id/title/text must be strings")
         try:
             passages.append(Passage.from_text(pid, title, text))
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-    return Corpus(passages)
+            raise ParseError(f"{prefix}line {lineno}: {exc}") from exc
+    try:
+        return Corpus(passages)
+    except DuplicateId as exc:
+        raise DuplicateId(f"{prefix}{exc}") from None
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
@@ -128,4 +133,4 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 
 def load_corpus(path: str) -> Corpus:
     with open(path, encoding="utf-8") as fh:
-        return ingest_passages(fh)
+        return ingest_passages(fh, str(path))

@@ -23,18 +23,24 @@ def dumps(record) -> str:
 def parse_lines(
     lines: Iterable[str], source: str = "", error: type[Exception] = ParseError
 ) -> Iterator[tuple[int, dict]]:
-    """Yield ``(lineno, record)`` per non-blank line; bad lines raise ``error``."""
+    """Yield ``(lineno, record)`` per non-blank line; bad lines raise ``error``.
+
+    So does text that is not UTF-8, which ``lines`` raises while decoding.
+    """
     prefix = f"{source}: " if source else ""
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise error(f"{prefix}line {lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(record, dict):
-            raise error(f"{prefix}line {lineno}: record is not an object")
-        yield lineno, record
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if not line or line.isspace():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{prefix}line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise error(f"{prefix}line {lineno}: record is not an object")
+            yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise error(f"{prefix}not UTF-8 text ({exc.reason})") from exc
 
 
 def read(path: str | Path, error: type[Exception] = ParseError) -> Iterator[tuple[int, dict]]:
@@ -71,5 +77,5 @@ def open_log(path: str | Path) -> tuple[list[tuple[int, dict]], TextIO]:
         data = fh.read()
         complete = data.rfind(b"\n") + 1
         fh.truncate(complete)
-    lines = data[:complete].decode("utf-8").split("\n")
+    lines = (line.decode("utf-8") for line in data[:complete].split(b"\n"))
     return list(parse_lines(lines, str(path))), open(path, "a", encoding="utf-8", newline="\n")

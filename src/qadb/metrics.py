@@ -226,10 +226,14 @@ class EvalExample:
         return len(unique) >= 2
 
 
-def load_examples(lines: Iterable[str]) -> list[EvalExample]:
-    """Parse line-delimited JSON gold records into EvalExamples."""
+def load_examples(lines: Iterable[str], source: str = "") -> list[EvalExample]:
+    """Parse line-delimited JSON gold records into EvalExamples.
+
+    Error messages start with ``source``, the file name, when one is given.
+    """
+    prefix = f"{source}: " if source else ""
     examples = []
-    for lineno, record in jsonl.parse_lines(lines):
+    for lineno, record in jsonl.parse_lines(lines, source):
         try:
             examples.append(
                 EvalExample(
@@ -243,7 +247,7 @@ def load_examples(lines: Iterable[str]) -> list[EvalExample]:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise ParseError(f"{prefix}line {lineno}: {exc}") from exc
     return examples
 
 

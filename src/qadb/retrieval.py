@@ -14,7 +14,7 @@ import hashlib
 import math
 import re
 import struct
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,45 +59,51 @@ class PassageScore:
 
 
 class _Bm25:
-    """Inverted-index BM25 with the non-negative idf variant.
+    """Impact-ordered BM25 index with the non-negative idf variant.
 
     score(q, d) = sum over query token occurrences t of
         idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
-    with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)).
+    with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). Every term is
+    precomputed at build (Lin & Trotman, ICTIR 2015): token id t owns the
+    ascending ``rows[offsets[t]:offsets[t + 1]]`` and their ``weights``.
     """
 
-    def __init__(self, docs: Sequence[list[str]], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
-        self.k1 = k1
-        self.b = b
-        self.size = len(docs)
-        self.doc_len = [len(d) for d in docs]
-        self.avgdl = sum(self.doc_len) / self.size if self.size else 0.0
-        self.postings: dict[str, list[tuple[int, int]]] = {}
-        for idx, doc in enumerate(docs):
-            counts: dict[str, int] = {}
-            for token in doc:
-                counts[token] = counts.get(token, 0) + 1
-            for token, tf in counts.items():
-                self.postings.setdefault(token, []).append((idx, tf))
+    def __init__(self, docs: Iterable[list[str]], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
+        self.token_ids: dict[str, int] = {}
+        ids, lengths = [], []
+        for doc in docs:
+            ids += [self.token_ids.setdefault(token, len(self.token_ids)) for token in doc]
+            lengths.append(len(doc))
+        self.size = n = len(lengths)
+        avgdl = sum(lengths) / n if n else 0.0
+        doc_len = np.array(lengths, dtype=np.int64)
+        # one int64 per token occurrence, token-major, so np.unique counts tf
+        pairs = np.array(ids, dtype=np.int64) * n + np.repeat(np.arange(n), doc_len)
+        pairs, tf = np.unique(pairs, return_counts=True)
+        tokens, rows = np.divmod(pairs, n)
+        self.offsets = np.searchsorted(tokens, np.arange(len(self.token_ids) + 1))
+        self.rows = rows.astype(np.int32)
+        # math.log, not np.log, which may round the last bit differently
+        dfs = np.diff(self.offsets).tolist()
+        idf = np.array([math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in dfs])
+        norm = k1 * (1 - b + b * doc_len[rows] / avgdl)
+        self.weights = idf[tokens] * tf * (k1 + 1) / (tf + norm)
 
-    def idf(self, token: str) -> float:
-        df = len(self.postings.get(token, ()))
-        return math.log(1.0 + (self.size - df + 0.5) / (df + 0.5))
+    def scores(self, query_tokens: Sequence[str]) -> np.ndarray:
+        """``(row, score)`` records of the documents scoring > 0, by row.
 
-    def scores(self, query_tokens: Sequence[str]) -> dict[int, float]:
-        """Accumulated scores for documents sharing at least one query token."""
-        acc: dict[int, float] = {}
-        if not self.size or self.avgdl == 0.0:
-            return acc
-        for token in query_tokens:
-            plist = self.postings.get(token)
-            if not plist:
-                continue
-            idf = self.idf(token)
-            for idx, tf in plist:
-                norm = self.k1 * (1 - self.b + self.b * self.doc_len[idx] / self.avgdl)
-                acc[idx] = acc.get(idx, 0.0) + idf * tf * (self.k1 + 1) / (tf + norm)
-        return acc
+        ``np.bincount`` adds the weights in query-token order, repeats
+        included, so each sum rounds as a term-at-a-time loop's does.
+        """
+        spans = [slice(self.offsets[t], self.offsets[t + 1])
+                 for t in map(self.token_ids.get, query_tokens) if t is not None]
+        acc = np.bincount(np.concatenate([self.rows[:0], *(self.rows[s] for s in spans)]),
+                          np.concatenate([self.weights[:0], *(self.weights[s] for s in spans)]),
+                          minlength=self.size)
+        rows = np.flatnonzero(acc > 0.0)
+        found = np.empty(len(rows), dtype=[("row", np.intp), ("score", np.float64)])
+        found["row"], found["score"] = rows, acc[rows]
+        return found
 
 
 class QuestionIndex:
@@ -118,7 +124,10 @@ class QuestionIndex:
         dense_vectors: np.ndarray | None = None,
     ):
         self.keys = tuple(keys)
-        self.sparse = _Bm25([tokenize(t) for t in texts], k1=k1, b=b)
+        # the tie-break: rank[i] is the place of keys[i] in ascending key order
+        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        self.rank = np.argsort(order)  # the inverse permutation
+        self.sparse = _Bm25((tokenize(t) for t in texts), k1=k1, b=b)
         self.embedder = embedder
         if dense_vectors is not None:
             if dense_vectors.shape[0] != len(self.keys):
@@ -136,33 +145,21 @@ class QuestionIndex:
             raise ModeUnavailable("index has no dense vectors / query embedder")
         vector = np.asarray(self.embedder(query), dtype=np.float64)
         if vector.ndim != 1 or vector.shape[0] != self.dense.shape[1]:
-            raise EmbeddingDimMismatch(
-                f"query vector dim {vector.shape} != index dim {self.dense.shape[1]}"
-            )
+            raise EmbeddingDimMismatch(f"query vector dim {vector.shape} != {self.dense.shape[1]}")
         return _unit_rows(vector[None, :])[0]
 
 
 def _embed_all(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
-    vectors = []
-    dim = None
-    for text in texts:
-        v = np.asarray(embedder(text), dtype=np.float64)
-        if v.ndim != 1:
-            raise EmbeddingDimMismatch(f"embedder returned shape {v.shape} for {text!r}")
-        if dim is None:
-            dim = v.shape[0]
-        elif v.shape[0] != dim:
-            raise EmbeddingDimMismatch(
-                f"embedder returned dim {v.shape[0]} after dim {dim}"
-            )
-        vectors.append(v)
-    return np.stack(vectors) if vectors else np.zeros((0, dim or 0))
+    vectors = [np.asarray(embedder(text), dtype=np.float64) for text in texts]
+    shapes = sorted({v.shape for v in vectors})
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise EmbeddingDimMismatch(f"embedder returned vectors of shapes {shapes}")
+    return np.stack(vectors) if vectors else np.zeros((0, 0))
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)  # all-zero rows stay zero
-    return matrix / safe
+    return matrix / np.where(norms == 0.0, 1.0, norms)  # all-zero rows stay zero
 
 
 def build_index(
@@ -190,6 +187,18 @@ def build_passage_index(
     return QuestionIndex([p.id for p in corpus], [p.text for p in corpus], embedder, k1=k1, b=b)
 
 
+def _top_k(scores: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best ``scores``, ordered (score desc, ``rank`` asc).
+
+    A partition finds the k-th best score; only the entries at or above it
+    are sorted, so ties at the boundary are cut by rank as a full sort would.
+    """
+    neg = -scores  # partitioning from the low end stays fast when few scores are high
+    kth = np.partition(neg, k - 1)[k - 1] if k < len(neg) else np.inf
+    picked = np.flatnonzero(neg <= kth)
+    return picked[np.lexsort((rank[picked], neg[picked]))][:k]
+
+
 def retrieve_questions(
     index: QuestionIndex, query: str, k: int, mode: str = SPARSE
 ) -> list[RetrievalHit]:
@@ -201,20 +210,28 @@ def retrieve_questions(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if mode == SPARSE:
-        scored = index.sparse.scores(tokenize(query))
-        items = [(index.keys[i], s) for i, s in scored.items() if s > 0.0]
+        found = index.sparse.scores(tokenize(query))
+        rows, scores = found["row"], found["score"]
     elif mode == DENSE:
-        if index.dense is None:
-            raise ModeUnavailable("index was built without dense vectors")
         scores = index.dense @ index.embed_query(query)
-        items = [(index.keys[i], float(scores[i])) for i in range(len(index.keys))]
+        rows = np.arange(len(scores))
     else:
         raise ValueError(f"unknown retrieval mode {mode!r}")
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    return [
-        RetrievalHit(qid=key, score=score, rank=rank)
-        for rank, (key, score) in enumerate(items[:k], start=1)
-    ]
+    top = _top_k(scores, index.rank[rows], k)
+    ranked = enumerate(zip(rows[top].tolist(), scores[top].tolist()), start=1)
+    return [RetrievalHit(index.keys[row], score, rank) for rank, (row, score) in ranked]
+
+
+def _credit(db: QADatabase, hits: Sequence[RetrievalHit]) -> tuple[dict, dict[str, float]]:
+    """Per passage: how many of ``hits`` it generated, and its best hit score."""
+    counts: dict[str, int] = {}
+    best: dict[str, float] = {}
+    for hit in hits:
+        for pid in db.question(hit.qid).passage_ids:
+            counts[pid] = counts.get(pid, 0) + 1
+            if pid not in best or hit.score > best[pid]:
+                best[pid] = hit.score
+    return counts, best
 
 
 def score_passages_max(db: QADatabase, hits: Sequence[RetrievalHit]) -> list[PassageScore]:
@@ -222,12 +239,7 @@ def score_passages_max(db: QADatabase, hits: Sequence[RetrievalHit]) -> list[Pas
 
     Passages none of whose questions were hit are absent from the output.
     """
-    best: dict[str, float] = {}
-    for hit in hits:
-        for pid in db.question(hit.qid).passage_ids:
-            if pid not in best or hit.score > best[pid]:
-                best[pid] = hit.score
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(_credit(db, hits)[1].items(), key=lambda kv: (-kv[1], kv[0]))
     return [PassageScore(pid, score, METHOD_MAX) for pid, score in ranked]
 
 
@@ -240,14 +252,7 @@ def score_passages_count(
     Ties break by the max-method score over the same top-k hits, then by
     passage id.
     """
-    top = [hit for hit in hits if hit.rank <= k]
-    counts: dict[str, int] = {}
-    best: dict[str, float] = {}
-    for hit in top:
-        for pid in db.question(hit.qid).passage_ids:
-            counts[pid] = counts.get(pid, 0) + 1
-            if pid not in best or hit.score > best[pid]:
-                best[pid] = hit.score
+    counts, best = _credit(db, [hit for hit in hits if hit.rank <= k])
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], -best[kv[0]], kv[0]))
     return [PassageScore(pid, float(count), METHOD_COUNT) for pid, count in ranked]
 
@@ -293,13 +298,9 @@ def hashing_embedder(dim: int = 64, seed: int = 0) -> Embedder:
     def embed(text: str) -> np.ndarray:
         vector = np.zeros(dim, dtype=np.float64)
         for token in tokenize(text):
-            digest = hashlib.blake2b(
-                f"{seed}:{token}".encode("utf-8"), digest_size=8
-            ).digest()
+            digest = hashlib.blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
             value = int.from_bytes(digest, "little")
-            bucket = value % dim
-            sign = 1.0 if (value >> 32) & 1 else -1.0
-            vector[bucket] += sign
+            vector[value % dim] += 1.0 if (value >> 32) & 1 else -1.0  # bucket, sign
         return vector
 
     return embed
@@ -314,8 +315,7 @@ def save_vectors(path: str, matrix: np.ndarray) -> None:
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
     with open(path, "wb") as fh:
-        fh.write(_VEC_MAGIC)
-        fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
+        fh.write(_VEC_MAGIC + struct.pack("<II", *mat.shape))
         fh.write(mat.tobytes())
 
 

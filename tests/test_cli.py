@@ -180,6 +180,63 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _run_reading(role, path, tmp_path):
+    """A command whose only bad input is ``path`` in the given role."""
+    if role == "corpus":
+        return main(["build-db", "--corpus", str(path), "--db", str(tmp_path / "o.qadb")])
+    if role == "queries":
+        return main(
+            [
+                "retrieve",
+                "--db", str(DATA / "fixture.qadb"),
+                "--queries", str(path),
+                "--out", str(tmp_path / "r.jsonl"),
+            ]
+        )
+    if role == "config":
+        return main(
+            [
+                "coverage",
+                "--config", str(path),
+                "--db", str(DATA / "fixture.qadb"),
+                "--gold", str(DATA / "gold.jsonl"),
+            ]
+        )
+    return main(["coverage", "--db", str(DATA / "fixture.qadb"), "--gold", str(path)])
+
+
+@pytest.mark.parametrize("role", ["corpus", "queries", "gold", "config"])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, role):
+    path = tmp_path / f"{role}.jsonl"
+    path.write_bytes(b"\xff\xfe{\x00}\x00\n")
+    assert _run_reading(role, path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    ("role", "record"),
+    [
+        ("corpus", {"id": "a#0", "title": "a", "text": "alpha"}),
+        ("gold", {"query_id": "q1", "gold_answers": ["x"]}),
+    ],
+)
+def test_parse_errors_name_file_and_line(tmp_path, capsys, role, record):
+    path = tmp_path / f"{role}.jsonl"
+    path.write_text(json.dumps(record) + "\n{not json\n")
+    assert _run_reading(role, path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 2: invalid JSON") and err.count("\n") == 1
+
+
+def test_repeated_passage_id_exits_2_naming_file_and_id(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    record = json.dumps({"id": "a#0", "title": "a", "text": "alpha beta"})
+    corpus.write_text(f"{record}\n{record}\n")
+    assert _run_reading("corpus", corpus, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {corpus}: duplicate passage id 'a#0'\n"
+
+
 # ------------------------------------------------------------- eval
 
 

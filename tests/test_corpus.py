@@ -81,6 +81,8 @@ def test_ingest_duplicate_id():
             )
         )
     assert "p1" in str(excinfo.value)
+    with pytest.raises(DuplicateId, match="^c.jsonl: duplicate passage id 'p1'$"):
+        ingest_passages(_lines({"id": "p1", "title": "A", "text": "x"}) * 2, "c.jsonl")
 
 
 def test_ingest_empty_stream():
@@ -91,12 +93,16 @@ def test_ingest_malformed_line_reports_line_number():
     with pytest.raises(ParseError) as excinfo:
         ingest_passages(_lines({"id": "p1", "title": "A", "text": "x"}) + ["{not json"])
     assert "line 2" in str(excinfo.value)
+    with pytest.raises(ParseError, match="^c.jsonl: line 2: invalid JSON"):
+        ingest_passages(_lines({"id": "p1", "title": "A", "text": "x"}) + ["{not json"], "c.jsonl")
 
 
 def test_ingest_missing_field_reports_line_number():
     with pytest.raises(ParseError) as excinfo:
         ingest_passages(_lines({"id": "p1", "title": "A"}))
     assert "line 1" in str(excinfo.value)
+    with pytest.raises(ParseError, match="^c.jsonl: line 1: missing field 'text'"):
+        ingest_passages(_lines({"id": "p1", "title": "A"}), "c.jsonl")
 
 
 def test_corpus_round_trip(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qadb import jsonl
-from qadb.errors import CorruptDatabase
+from qadb.errors import CorruptDatabase, ParseError
 
 SRC = Path(__file__).parent.parent / "src" / "qadb"
 
@@ -45,3 +45,12 @@ def test_write_replaces_whole_file_and_leaves_no_temporary(tmp_path):
     assert path.read_text(encoding="utf-8") == '{"a": 1, "b": "\u2028é"}\n{}\n'
     assert [r for _, r in jsonl.read(path)] == [record, {}]
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_text_that_is_not_utf8_raises_the_callers_error(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"b": "\xff"}\n')
+    with pytest.raises(CorruptDatabase, match=f"^{path}: not UTF-8 text"):
+        list(jsonl.read(path, CorruptDatabase))
+    with pytest.raises(ParseError, match=f"^{path}: not UTF-8 text"):
+        jsonl.open_log(path)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from oracles import rouge_l_oracle
 from fixtures import TableQABackend
 
-from qadb.errors import ContractViolation
+from qadb.errors import ContractViolation, ParseError
 from qadb.metrics import (
     EvalExample,
     answer_recall_at_k,
@@ -301,3 +301,9 @@ def test_load_examples_parses_records():
     assert examples[0].gold_answers == ("a", "b")
     assert examples[0].disambiguations == (("xq?", "a"),)
     assert examples[0].is_multi_answer
+
+
+def test_load_examples_errors_name_source_and_line():
+    lines = ['{"query_id": "q1", "gold_answers": ["a"]}', '{"query_id": "q2"}']
+    with pytest.raises(ParseError, match="^gold.jsonl: line 2: 'gold_answers'"):
+        load_examples(lines, "gold.jsonl")

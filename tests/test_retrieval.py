@@ -9,6 +9,7 @@ from oracles import bm25_scores_direct, count_aggregation_oracle, max_aggregatio
 from qadb.corpus import Corpus, Passage
 from qadb.errors import EmbeddingDimMismatch, ModeUnavailable
 from qadb.retrieval import (
+    QuestionIndex,
     RetrievalHit,
     build_index,
     build_passage_index,
@@ -131,6 +132,107 @@ def test_tie_break_is_score_then_key():
     assert [h.rank for h in hits] == [1, 2]
     assert hits[0].score == hits[1].score
     assert hits[0].qid < hits[1].qid
+
+
+# ------------------------------------------------------------- top-k boundary
+
+
+def _full_sort(index, query, k, mode):
+    """Reference: every score of the index, fully sorted (score desc, key asc)."""
+    if mode == "sparse":
+        found = index.sparse.scores(tokenize(query))
+        rows, scores = found["row"].tolist(), found["score"].tolist()
+    else:
+        rows = list(range(len(index.keys)))
+        scores = (index.dense @ index.embed_query(query)).tolist()
+    pairs = [(index.keys[r], s) for r, s in zip(rows, scores)]
+    ranked = sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
+    return [(key, score, rank) for rank, (key, score) in enumerate(ranked[:k], start=1)]
+
+
+def _hit_tuples(index, query, k, mode):
+    return [(h.qid, h.score, h.rank) for h in retrieve_questions(index, query, k, mode)]
+
+
+def _tied_index(keys):
+    """25 identical 'alpha beta' texts, then 10 'alpha' and 5 'gamma'; dense
+    rows are one-hot per text, so equal texts score exactly equal."""
+    texts = ["alpha beta"] * 25 + ["alpha"] * 10 + ["gamma"] * 5
+    group = {"alpha beta": 0, "alpha": 1, "gamma": 2}
+    vectors = np.eye(3)[[group[t] for t in texts]]
+    embedder = lambda text: np.array([3.0, 2.0, 1.0])  # noqa: E731
+    return QuestionIndex(keys, texts, embedder, dense_vectors=vectors)
+
+
+@pytest.mark.parametrize("mode", ["sparse", "dense"])
+@pytest.mark.parametrize("key_kind", [int, str])
+def test_top_k_cuts_exact_ties_at_kth_score_by_key(mode, key_kind):
+    keys = [key_kind(k) for k in random.Random(5).sample(range(1000, 2000), 40)]
+    index = _tied_index(keys)
+    for k in (1, 10, 25, 26, 30):
+        hits = _hit_tuples(index, "alpha beta", k, mode)
+        assert hits == _full_sort(index, "alpha beta", k, mode)
+        assert len(hits) == k
+    # k = 10 cuts the 25-way tie: the 10 lowest of its keys, ascending
+    tied_keys = sorted(keys[:25])
+    assert [qid for qid, _, _ in _hit_tuples(index, "alpha beta", 10, mode)] == tied_keys[:10]
+
+
+@pytest.mark.parametrize("mode", ["sparse", "dense"])
+def test_top_k_with_k_equal_to_and_above_index_size(mode):
+    index = _tied_index(random.Random(6).sample(range(100), 40))
+    for k in (40, 41, 500):
+        hits = _hit_tuples(index, "alpha beta gamma", k, mode)
+        assert hits == _full_sort(index, "alpha beta gamma", k, mode)
+        assert len(hits) == 40  # every text shares a token with the query
+
+
+def test_dense_zero_query_vector_orders_by_key_alone():
+    keys = random.Random(7).sample(range(10_000), 60)
+    texts = [f"topic {i} question" for i in range(60)]
+    index = QuestionIndex(keys, texts, hashing_embedder(dim=16, seed=1))
+    assert not index.embed_query("?!").any()
+    for k in (1, 7, 60, 61):
+        hits = _hit_tuples(index, "?!", k, "dense")
+        assert hits == _full_sort(index, "?!", k, "dense")
+        assert [qid for qid, _, _ in hits] == sorted(keys)[:k]
+        assert all(score == 0.0 for _, score, _ in hits)
+
+
+def test_top_k_matches_full_sort_on_random_instances():
+    rng = random.Random(11)
+    vocab = ["alpha", "beta", "gamma", "delta", "epsilon"]
+    for trial in range(60):
+        n = rng.randint(1, 80)
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 4))) for _ in range(n)]
+        ids = rng.sample(range(10 * n), n)
+        keys = ids if trial % 2 else [f"p{i}" for i in ids]
+        # duplicated rows give ties in dense mode too
+        base = np.random.default_rng(trial).normal(size=(max(1, n // 3), 8))
+        vectors = base[[rng.randrange(len(base)) for _ in range(n)]]
+        query_vector = np.random.default_rng(1000 + trial).normal(size=8)
+        index = QuestionIndex(keys, texts, lambda text: query_vector, dense_vectors=vectors)
+        query = " ".join(rng.choices(vocab, k=rng.randint(1, 3)))
+        for mode in ("sparse", "dense"):
+            k = rng.randint(1, n + 3)
+            assert _hit_tuples(index, query, k, mode) == _full_sort(index, query, k, mode)
+
+
+def test_bm25_scores_are_exactly_the_positive_rows():
+    # the benchmark's traced run counts candidates as len() of this result
+    rng = random.Random(23)
+    vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    for _ in range(30):
+        n_docs = rng.randint(1, 60)
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 6))) for _ in range(n_docs)]
+        query = " ".join(rng.choices(vocab + ["unseen"], k=rng.randint(0, 4)))
+        found = QuestionIndex(range(len(texts)), texts).sparse.scores(tokenize(query))
+        oracle = bm25_scores_direct(query, texts)
+        positive = [i for i, score in enumerate(oracle) if score > 0]
+        assert found["row"].tolist() == positive
+        assert len(found) == len(positive)
+        # the oracle adds the same terms in the same order: equal to the last bit
+        assert found["score"].tolist() == [oracle[i] for i in positive]
 
 
 # ------------------------------------------------------------- aggregation
