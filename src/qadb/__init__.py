@@ -52,6 +52,7 @@ from .retrieval import (
     build_index,
     build_passage_index,
     hashing_embedder,
+    open_index,
     retrieve_passages,
     retrieve_questions,
     score_passages_count,
@@ -100,6 +101,7 @@ __all__ = [
     "load_corpus",
     "merge_questions",
     "normalize_answer",
+    "open_index",
     "question_merge_key",
     "retrieve_passages",
     "retrieve_questions",

@@ -20,11 +20,12 @@ import string
 import threading
 import time
 from dataclasses import dataclass
-from typing import Protocol
-
-import requests
+from typing import TYPE_CHECKING, Protocol
 
 from .errors import BackendUnavailable, ProtocolError
+
+if TYPE_CHECKING:  # imported where used: commands with no remote backend never load it
+    import requests
 
 NOT_ANSWERABLE = "not answerable"
 
@@ -241,6 +242,8 @@ class RemoteBackend:
         max_in_flight: int = 8,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_retries = max_retries
@@ -263,6 +266,8 @@ class RemoteBackend:
     def generate_batch(
         self, prompts: list[str], max_candidates: int, decode_mode: str
     ) -> list[list[str]]:
+        import requests
+
         payload = {
             "inputs": list(prompts),
             "max_candidates": max_candidates,

@@ -123,9 +123,6 @@ class QADatabase:
             return NotImplemented
         return self.questions == other.questions
 
-    def question(self, qid: int) -> MergedQuestion:
-        return self._by_qid[qid]
-
     def gen(self, passage_id: str) -> set[MergedQuestion]:
         """The set of merged questions generated from a passage."""
         return {self._by_qid[qid] for qid in self.gen_index.get(passage_id, ())}

@@ -1,8 +1,9 @@
 """Line-delimited JSON, the one text format of every qadb file.
 
 One JSON object per line, with sorted keys and raw UTF-8, so reruns write
-identical bytes. Whole files are replaced atomically; an append-only log
-drops a last line torn by a crash when it is reopened.
+identical bytes. Whole files, the binary retrieval image too, are replaced
+atomically; an append-only log drops a last line torn by a crash when it
+is reopened.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 from .errors import ParseError
 
@@ -50,19 +52,26 @@ def read(path: str | Path, error: type[Exception] = ParseError) -> Iterator[tupl
         yield from parse_lines(fh, str(path), error)
 
 
-def write(path: str | Path, records: Iterable) -> None:
-    """Replace ``path`` by one line per record: a reader sees the old file or the new."""
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle on a temporary sibling, renamed over ``path`` when synced."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(dumps(record) + "\n")
+        with open(tmp, "wb") as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write(path: str | Path, records: Iterable) -> None:
+    """Replace ``path`` by one line per record: a reader sees the old file or the new."""
+    with replacing(path) as fh:
+        for record in records:
+            fh.write((dumps(record) + "\n").encode("utf-8"))
 
 
 def open_log(path: str | Path) -> tuple[list[tuple[int, dict]], TextIO]:

@@ -5,7 +5,9 @@ inner product), and question hits are mapped onto passages through their
 provenance: either the best-scoring generated question per passage
 ("max") or the number of a passage's questions inside the top-k hits
 ("count"). A direct passage-level index built with the same machinery
-serves as the conventional retrieval baseline.
+serves as the conventional retrieval baseline. A database's index is kept
+as an array image next to its file (``open_index``), so later processes
+query it without parsing the database.
 """
 
 from __future__ import annotations
@@ -14,11 +16,16 @@ import hashlib
 import math
 import re
 import struct
-from collections.abc import Callable, Iterable, Sequence
+import sys
+import zipfile
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
+from . import jsonl
 from .corpus import Corpus
 from .database import QADatabase
 from .errors import EmbeddingDimMismatch, ModeUnavailable
@@ -26,6 +33,7 @@ from .errors import EmbeddingDimMismatch, ModeUnavailable
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 DEFAULT_QUESTION_FETCH = 50
+IMAGE_VERSION = 1  # bump when tokenize() or the arrays of QuestionIndex change
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -64,30 +72,38 @@ class _Bm25:
     score(q, d) = sum over query token occurrences t of
         idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
     with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). Every term is
-    precomputed at build (Lin & Trotman, ICTIR 2015): token id t owns the
-    ascending ``rows[offsets[t]:offsets[t + 1]]`` and their ``weights``.
+    precomputed at build (Lin & Trotman, ICTIR 2015): token ``vocab[t]``
+    owns the ascending ``rows[offsets[t]:offsets[t + 1]]`` and their ``weights``.
     """
 
-    def __init__(self, docs: Iterable[list[str]], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
-        self.token_ids: dict[str, int] = {}
+    def __init__(self, arrays: Mapping[str, np.ndarray]):
+        self.token_ids = {token: t for t, token in enumerate(arrays["vocab"].tolist())}
+        self.offsets, self.rows, self.weights = arrays["offsets"], arrays["rows"], arrays["weights"]
+        self.size = int(arrays["size"])
+
+    @staticmethod
+    def build(docs: Iterable[list[str]], k1: float, b: float) -> dict[str, np.ndarray]:
+        """The arrays ``__init__`` reads, for tokenized ``docs``."""
+        token_ids: dict[str, int] = {}
         ids, lengths = [], []
         for doc in docs:
-            ids += [self.token_ids.setdefault(token, len(self.token_ids)) for token in doc]
+            ids += [token_ids.setdefault(token, len(token_ids)) for token in doc]
             lengths.append(len(doc))
-        self.size = n = len(lengths)
+        n = len(lengths)
         avgdl = sum(lengths) / n if n else 0.0
         doc_len = np.array(lengths, dtype=np.int64)
         # one int64 per token occurrence, token-major, so np.unique counts tf
         pairs = np.array(ids, dtype=np.int64) * n + np.repeat(np.arange(n), doc_len)
         pairs, tf = np.unique(pairs, return_counts=True)
         tokens, rows = np.divmod(pairs, n)
-        self.offsets = np.searchsorted(tokens, np.arange(len(self.token_ids) + 1))
-        self.rows = rows.astype(np.int32)
+        offsets = np.searchsorted(tokens, np.arange(len(token_ids) + 1))
         # math.log, not np.log, which may round the last bit differently
-        dfs = np.diff(self.offsets).tolist()
+        dfs = np.diff(offsets).tolist()
         idf = np.array([math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in dfs])
         norm = k1 * (1 - b + b * doc_len[rows] / avgdl)
-        self.weights = idf[tokens] * tf * (k1 + 1) / (tf + norm)
+        return {"vocab": np.array(list(token_ids), dtype=str), "offsets": offsets,
+                "rows": rows.astype(np.int32), "size": np.array(n),
+                "weights": idf[tokens] * tf * (k1 + 1) / (tf + norm)}
 
     def scores(self, query_tokens: Sequence[str]) -> np.ndarray:
         """``(row, score)`` records of the documents scoring > 0, by row.
@@ -110,24 +126,25 @@ class QuestionIndex:
     """Dual sparse/dense index over short texts keyed by stable ids.
 
     Built over generated questions for indirect retrieval, and reused
-    over passage texts for the direct baseline.
+    over passage texts for the direct baseline. It runs from ``arrays``
+    alone, built from ``keys`` and ``texts`` or loaded by ``open_index``;
+    the BM25 arrays are read at the first sparse query. Entry i credits
+    ``passages[passage_cols[passage_offsets[i]:passage_offsets[i + 1]]]``.
     """
 
-    def __init__(
-        self,
-        keys: Sequence[int | str],
-        texts: Sequence[str],
-        embedder: Embedder | None = None,
-        *,
-        k1: float = DEFAULT_K1,
-        b: float = DEFAULT_B,
-        dense_vectors: np.ndarray | None = None,
-    ):
-        self.keys = tuple(keys)
-        # the tie-break: rank[i] is the place of keys[i] in ascending key order
-        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
-        self.rank = np.argsort(order)  # the inverse permutation
-        self.sparse = _Bm25((tokenize(t) for t in texts), k1=k1, b=b)
+    def __init__(self, keys: Sequence[int | str] = (), texts: Sequence[str] = (),
+                 embedder: Embedder | None = None, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B,
+                 dense_vectors: np.ndarray | None = None,
+                 generated: Mapping[str, Collection[int | str]] | None = None,
+                 arrays: Mapping[str, np.ndarray] | None = None):
+        if arrays is None:
+            arrays = _index_arrays(list(keys), list(texts), k1, b, generated or {})
+        self.arrays = arrays  # an NpzFile reads a member each time it is indexed
+        self.keys, self.rank = arrays["keys"], arrays["rank"]
+        self.row_of = dict(zip(self.keys.tolist(), range(len(self.keys))))
+        # Python lists: aggregation reads a few items of each per hit
+        self.passages, self.passage_offsets, self.passage_cols = (
+            arrays[name].tolist() for name in ("passages", "passage_offsets", "passage_cols"))
         self.embedder = embedder
         if dense_vectors is not None:
             if dense_vectors.shape[0] != len(self.keys):
@@ -136,9 +153,15 @@ class QuestionIndex:
                 )
             self.dense: np.ndarray | None = _unit_rows(np.asarray(dense_vectors, dtype=np.float64))
         elif embedder is not None:
+            data, ends = arrays["text_utf8"].tobytes(), arrays["text_offsets"].tolist()
+            texts = [data[a:z].decode("utf-8") for a, z in zip(ends, ends[1:])]
             self.dense = _unit_rows(_embed_all(embedder, texts))
         else:
             self.dense = None
+
+    @cached_property
+    def sparse(self) -> _Bm25:
+        return _Bm25(self.arrays)
 
     def embed_query(self, query: str) -> np.ndarray:
         if self.dense is None or self.embedder is None:
@@ -149,12 +172,36 @@ class QuestionIndex:
         return _unit_rows(vector[None, :])[0]
 
 
+def _index_arrays(keys: list, texts: list[str], k1: float, b: float,
+                  generated: Mapping[str, Collection]) -> dict[str, np.ndarray]:
+    """``QuestionIndex.arrays``; ``generated`` maps a passage id to the keys generated from it."""
+    table = sorted(generated)
+    row = {key: i for i, key in enumerate(keys)}
+    sizes = [len(generated[pid]) for pid in table]  # a list per passage would set off full GCs
+    rows = np.fromiter((row[key] for pid in table for key in generated[pid]), np.int64, sum(sizes))
+    by_row = np.argsort(rows, kind="stable")  # passage columns stay ascending within a row
+    blobs = [text.encode("utf-8") for text in texts]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return {
+        "keys": np.array(keys),
+        # the tie-break: rank[i] is the place of keys[i] in ascending key order
+        "rank": np.argsort(order),  # the inverse permutation
+        "passages": np.array(table, dtype=str),
+        "passage_offsets": np.searchsorted(rows[by_row], np.arange(len(keys) + 1)),
+        "passage_cols": np.repeat(np.arange(len(table), dtype=np.int32), sizes)[by_row],
+        "text_utf8": np.frombuffer(b"".join(blobs), dtype=np.uint8),
+        "text_offsets": np.cumsum([0, *map(len, blobs)]),
+        **_Bm25.build(map(tokenize, texts), k1, b),
+    }
+
+
 def _embed_all(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
     vectors = [np.asarray(embedder(text), dtype=np.float64) for text in texts]
     shapes = sorted({v.shape for v in vectors})
     if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
         raise EmbeddingDimMismatch(f"embedder returned vectors of shapes {shapes}")
-    return np.stack(vectors) if vectors else np.zeros((0, 0))
+    # no texts: the width a query vector will have
+    return np.stack(vectors) if vectors else np.zeros((0, np.size(embedder(""))))
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -162,27 +209,45 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.where(norms == 0.0, 1.0, norms)  # all-zero rows stay zero
 
 
-def build_index(
-    db: QADatabase,
-    embedder: Embedder | None = None,
-    *,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-    dense_vectors: np.ndarray | None = None,
-) -> QuestionIndex:
+def build_index(db: QADatabase, embedder: Embedder | None = None, *, k1: float = DEFAULT_K1,
+                b: float = DEFAULT_B, dense_vectors: np.ndarray | None = None) -> QuestionIndex:
     """Index a question database; dense vectors only when an embedder is given."""
-    qids = [q.qid for q in db.questions]
-    texts = [q.question for q in db.questions]
-    return QuestionIndex(qids, texts, embedder, k1=k1, b=b, dense_vectors=dense_vectors)
+    questions = db.questions
+    return QuestionIndex([q.qid for q in questions], [q.question for q in questions], embedder,
+                         k1=k1, b=b, dense_vectors=dense_vectors, generated=db.gen_index)
 
 
-def build_passage_index(
-    corpus: Corpus,
-    embedder: Embedder | None = None,
-    *,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> QuestionIndex:
+def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: float = DEFAULT_K1,
+               b: float = DEFAULT_B, dense_vectors: np.ndarray | None = None) -> QuestionIndex:
+    """The index of the database file ``db_path``, kept in its image ``<db_path>.index.npz``.
+
+    The image is keyed by the database bytes, ``k1``, ``b`` and ``IMAGE_VERSION``.
+    One that is missing, of another key or unreadable is never read: the index
+    is built from the database and the image replaced, or a warning says it was not.
+    """
+    digest = hashlib.blake2b()
+    with open(db_path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    key = f"qadb index v{IMAGE_VERSION} k1={k1!r} b={b!r} blake2b={digest.hexdigest()}"
+    image = f"{db_path}.index.npz"
+    try:
+        arrays = np.load(image, allow_pickle=False)
+        if arrays["key"].item() == key:
+            return QuestionIndex(embedder=embedder, dense_vectors=dense_vectors, arrays=arrays)
+    except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
+        pass
+    index = build_index(QADatabase.load(db_path), embedder, k1=k1, b=b, dense_vectors=dense_vectors)
+    try:
+        with jsonl.replacing(image) as fh:
+            np.savez(fh, key=np.array(key), **index.arrays)
+    except OSError as exc:
+        print(f"warning: {image} not written, the next retrieve rebuilds it: {exc}", file=sys.stderr)
+    return index
+
+
+def build_passage_index(corpus: Corpus, embedder: Embedder | None = None, *,
+                        k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> QuestionIndex:
     """Passage-text index for the direct retrieval baseline."""
     return QuestionIndex([p.id for p in corpus], [p.text for p in corpus], embedder, k1=k1, b=b)
 
@@ -218,33 +283,38 @@ def retrieve_questions(
     else:
         raise ValueError(f"unknown retrieval mode {mode!r}")
     top = _top_k(scores, index.rank[rows], k)
-    ranked = enumerate(zip(rows[top].tolist(), scores[top].tolist()), start=1)
-    return [RetrievalHit(index.keys[row], score, rank) for rank, (row, score) in ranked]
+    ranked = enumerate(zip(index.keys[rows[top]].tolist(), scores[top].tolist()), start=1)
+    return [RetrievalHit(key, score, rank) for rank, (key, score) in ranked]
 
 
-def _credit(db: QADatabase, hits: Sequence[RetrievalHit]) -> tuple[dict, dict[str, float]]:
-    """Per passage: how many of ``hits`` it generated, and its best hit score."""
-    counts: dict[str, int] = {}
-    best: dict[str, float] = {}
+def _credit(index: QuestionIndex, hits: Sequence[RetrievalHit]) -> tuple[dict, dict[int, float]]:
+    """Per passage column of ``index.passages``: how many of ``hits`` it
+    generated, and its best hit score. A plain loop: at 50 hits, numpy's
+    per-call cost made a vectorized version twice as slow."""
+    counts: dict[int, int] = {}
+    best: dict[int, float] = {}
+    offsets, cols = index.passage_offsets, index.passage_cols
     for hit in hits:
-        for pid in db.question(hit.qid).passage_ids:
-            counts[pid] = counts.get(pid, 0) + 1
-            if pid not in best or hit.score > best[pid]:
-                best[pid] = hit.score
+        row = index.row_of[hit.qid]
+        for col in cols[offsets[row]:offsets[row + 1]]:
+            counts[col] = counts.get(col, 0) + 1
+            if col not in best or hit.score > best[col]:
+                best[col] = hit.score
     return counts, best
 
 
-def score_passages_max(db: QADatabase, hits: Sequence[RetrievalHit]) -> list[PassageScore]:
+def score_passages_max(index: QuestionIndex, hits: Sequence[RetrievalHit]) -> list[PassageScore]:
     """Passage score = best hit score among the passage's generated questions.
 
     Passages none of whose questions were hit are absent from the output.
     """
-    ranked = sorted(_credit(db, hits)[1].items(), key=lambda kv: (-kv[1], kv[0]))
-    return [PassageScore(pid, score, METHOD_MAX) for pid, score in ranked]
+    best = _credit(index, hits)[1]
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))  # columns ascend with ids
+    return [PassageScore(index.passages[col], score, METHOD_MAX) for col, score in ranked]
 
 
 def score_passages_count(
-    db: QADatabase, hits: Sequence[RetrievalHit], k: int = DEFAULT_QUESTION_FETCH
+    index: QuestionIndex, hits: Sequence[RetrievalHit], k: int = DEFAULT_QUESTION_FETCH
 ) -> list[PassageScore]:
     """Passage score = how many of the top-k hit questions it generated.
 
@@ -252,16 +322,15 @@ def score_passages_count(
     Ties break by the max-method score over the same top-k hits, then by
     passage id.
     """
-    counts, best = _credit(db, [hit for hit in hits if hit.rank <= k])
+    counts, best = _credit(index, [hit for hit in hits if hit.rank <= k])
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], -best[kv[0]], kv[0]))
-    return [PassageScore(pid, float(count), METHOD_COUNT) for pid, count in ranked]
+    return [PassageScore(index.passages[col], float(n), METHOD_COUNT) for col, n in ranked]
 
 
 def retrieve_passages(
     index: QuestionIndex,
-    db: QADatabase,
     query: str,
-    *,
+    *former: str,
     method: str = METHOD_COUNT,
     top_n: int = 10,
     mode: str = SPARSE,
@@ -272,7 +341,10 @@ def retrieve_passages(
 
     Question-based methods fetch ``k_questions`` question hits before
     aggregation; the direct baseline needs a prebuilt ``passage_index``.
+    The former call ``(index, db, query)`` still works; ``db`` goes unread.
     """
+    if former:
+        (query,) = former
     if method == METHOD_DIRECT:
         if passage_index is None:
             raise ModeUnavailable("direct method requires a passage index")
@@ -280,9 +352,9 @@ def retrieve_passages(
         return [PassageScore(str(h.qid), h.score, METHOD_DIRECT) for h in hits]
     hits = retrieve_questions(index, query, k_questions, mode)
     if method == METHOD_MAX:
-        return score_passages_max(db, hits)[:top_n]
+        return score_passages_max(index, hits)[:top_n]
     if method == METHOD_COUNT:
-        return score_passages_count(db, hits, k_questions)[:top_n]
+        return score_passages_count(index, hits, k_questions)[:top_n]
     raise ValueError(f"unknown aggregation method {method!r}")
 
 

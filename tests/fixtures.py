@@ -196,3 +196,12 @@ def random_hits(rng: random.Random, db: QADatabase, max_hits: int = 50):
         RetrievalHit(qid=qid, score=score, rank=rank)
         for rank, (qid, score) in enumerate(ranked, start=1)
     ]
+
+
+def forbid_database_parse(monkeypatch) -> None:
+    """Make every database parse fail, so only a retrieval image can serve."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the database was parsed")
+
+    monkeypatch.setattr(QADatabase, "load", fail)

@@ -110,14 +110,15 @@ def test_criterion_2_aggregation_oracle_equivalence():
         db = random_database(rng, max_passages=50, max_questions=200)
         hits = random_hits(rng, db, max_hits=50)
 
-        got_max = score_passages_max(db, hits)
+        index = build_index(db)  # the oracles read the database itself
+        got_max = score_passages_max(index, hits)
         want_max = max_aggregation_oracle(db, hits)
         assert [ps.passage_id for ps in got_max] == [pid for pid, _ in want_max], f"instance {i}"
         for ps, (_, want_score) in zip(got_max, want_max):
             assert abs(ps.score - want_score) <= 1e-12, f"instance {i}"
 
         k = rng.randint(1, 50)
-        got_count = [(ps.passage_id, int(ps.score)) for ps in score_passages_count(db, hits, k)]
+        got_count = [(ps.passage_id, int(ps.score)) for ps in score_passages_count(index, hits, k)]
         assert got_count == count_aggregation_oracle(db, hits, k), f"instance {i}"
     _report(2, "aggregation-oracle-equivalence")
 
@@ -216,7 +217,6 @@ def test_criterion_7_diversity_demonstration():
     def recall(method: str) -> float:
         scored = retrieve_passages(
             index,
-            db,
             DIVERSITY_QUERY,
             method=method,
             top_n=5,

@@ -1,14 +1,17 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fixtures import make_toy_corpus
+from fixtures import forbid_database_parse, make_toy_corpus
 
+from qadb import retrieval
 from qadb.cli import main
 from qadb.config import ENDPOINT_ENV_VAR, RunConfig
 from qadb.corpus import save_corpus
@@ -20,6 +23,14 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture(autouse=True)
 def _no_endpoint_env(monkeypatch):
     monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+
+
+def _db(tmp_path):
+    """A copy of the fixture database: ``retrieve`` writes its index image next to it."""
+    path = tmp_path / "fixture.qadb"
+    if not path.exists():
+        shutil.copyfile(DATA / "fixture.qadb", path)
+    return str(path)
 
 
 def _read_jsonl(path):
@@ -67,19 +78,73 @@ def test_build_db_rerun_is_byte_identical(tmp_path):
 # ------------------------------------------------------------- retrieve
 
 
-def test_retrieve_count_matches_oracle_golden_file(tmp_path):
-    out = tmp_path / "results.jsonl"
-    code = main(
+def _retrieve(tmp_path, db, out, *extra, config=None):
+    return main(
         [
             "retrieve",
-            "--config", str(DATA / "config_count.txt"),
-            "--db", str(DATA / "fixture.qadb"),
+            "--config", str(config or DATA / "config_count.txt"),
+            "--db", str(db),
             "--queries", str(DATA / "queries.jsonl"),
-            "--out", str(out),
+            "--out", str(tmp_path / out),
+            *extra,
         ]
     )
-    assert code == 0
-    assert out.read_bytes() == (DATA / "golden_retrieve_count.jsonl").read_bytes()
+
+
+def test_retrieve_count_matches_oracle_golden_file(tmp_path, monkeypatch):
+    # the first run builds the index and writes its image; the second reads the image alone
+    golden = (DATA / "golden_retrieve_count.jsonl").read_bytes()
+    assert _retrieve(tmp_path, _db(tmp_path), "cold.jsonl") == 0
+    assert (tmp_path / "fixture.qadb.index.npz").is_file()
+    forbid_database_parse(monkeypatch)
+    assert _retrieve(tmp_path, _db(tmp_path), "warm.jsonl") == 0
+    assert (tmp_path / "cold.jsonl").read_bytes() == golden
+    assert (tmp_path / "warm.jsonl").read_bytes() == golden
+
+
+def test_retrieve_with_unwritable_image_warns_and_matches_golden_file(tmp_path, capsys):
+    (tmp_path / "fixture.qadb.index.npz").mkdir()  # fails the rename even for root
+    assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl") == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+    golden = (DATA / "golden_retrieve_count.jsonl").read_bytes()
+    assert (tmp_path / "results.jsonl").read_bytes() == golden
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fixture.qadb", "fixture.qadb.index.npz", "results.jsonl"
+    ]
+
+
+@pytest.mark.parametrize("vectors", [True, False], ids=["embeddings", "embedder"])
+def test_retrieve_dense_warm_image_equals_cold(tmp_path, monkeypatch, vectors):
+    config = tmp_path / "dense.txt"
+    config.write_text("retrieval_mode = dense\nretrieval_method = max\nembedding_dim = 16\n")
+    extra = []
+    if vectors:
+        embed = retrieval.hashing_embedder(16)
+        questions = QADatabase.load(DATA / "fixture.qadb").questions
+        retrieval.save_vectors(str(tmp_path / "q.qvec"), np.stack([embed(q.question) for q in questions]))
+        extra = ["--embeddings", str(tmp_path / "q.qvec")]
+    assert _retrieve(tmp_path, _db(tmp_path), "cold.jsonl", *extra, config=config) == 0
+    forbid_database_parse(monkeypatch)
+
+    def no_bm25(*args, **kwargs):
+        raise AssertionError("dense mode read the BM25 arrays")
+
+    monkeypatch.setattr(retrieval._Bm25, "__init__", no_bm25)
+    assert _retrieve(tmp_path, _db(tmp_path), "warm.jsonl", *extra, config=config) == 0
+    cold = (tmp_path / "cold.jsonl").read_bytes()
+    assert (tmp_path / "warm.jsonl").read_bytes() == cold
+    assert len(_read_jsonl(tmp_path / "cold.jsonl")[1]) > 0
+
+
+def test_retrieve_dense_over_empty_database_writes_no_records(tmp_path):
+    config = tmp_path / "dense.txt"
+    config.write_text("retrieval_mode = dense\nretrieval_method = max\n")
+    db = tmp_path / "empty.qadb"
+    QADatabase([]).save(db)
+    for out in ("cold.jsonl", "warm.jsonl"):
+        assert _retrieve(tmp_path, db, out, config=config) == 0
+        assert _read_jsonl(tmp_path / out)[1] == []
 
 
 def test_retrieve_direct_without_corpus_exits_2(tmp_path, capsys):
@@ -89,7 +154,7 @@ def test_retrieve_direct_without_corpus_exits_2(tmp_path, capsys):
         [
             "retrieve",
             "--config", str(config),
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(DATA / "queries.jsonl"),
             "--out", str(tmp_path / "r.jsonl"),
         ]
@@ -105,7 +170,7 @@ def test_retrieve_unknown_method_exits_2(tmp_path):
         [
             "retrieve",
             "--config", str(config),
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(DATA / "queries.jsonl"),
             "--out", str(tmp_path / "r.jsonl"),
         ]
@@ -120,7 +185,7 @@ def test_retrieve_empty_queries_writes_no_records(tmp_path):
     code = main(
         [
             "retrieve",
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(queries),
             "--out", str(out),
         ]
@@ -139,7 +204,7 @@ def test_retrieve_direct_with_corpus_works(tmp_path):
         [
             "retrieve",
             "--config", str(config),
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(DATA / "queries.jsonl"),
             "--corpus", str(DATA / "corpus.jsonl"),
             "--out", str(out),
@@ -169,7 +234,7 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     code = main(
         [
             "retrieve",
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(queries),
             "--out", str(tmp_path / "r.jsonl"),
             *extra,
@@ -188,7 +253,7 @@ def _run_reading(role, path, tmp_path):
         return main(
             [
                 "retrieve",
-                "--db", str(DATA / "fixture.qadb"),
+                "--db", _db(tmp_path),
                 "--queries", str(path),
                 "--out", str(tmp_path / "r.jsonl"),
             ]
@@ -315,7 +380,7 @@ def test_eval_retrieval_recall_monotone(tmp_path):
             [
                 "retrieve",
                 "--config", str(DATA / "config_count.txt"),
-                "--db", str(DATA / "fixture.qadb"),
+                "--db", _db(tmp_path),
                 "--queries", str(DATA / "queries.jsonl"),
                 "--out", str(results),
             ]
@@ -349,7 +414,7 @@ def test_eval_retrieval_excludes_single_answer_queries(tmp_path, capsys):
         [
             "retrieve",
             "--config", str(DATA / "config_count.txt"),
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(DATA / "queries.jsonl"),
             "--out", str(results),
         ]
@@ -484,7 +549,7 @@ def test_output_lock_blocks_second_run(tmp_path, capsys):
     code = main(
         [
             "retrieve",
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(queries),
             "--out", str(outdir / "r.jsonl"),
         ]
@@ -505,7 +570,7 @@ def test_output_lock_of_dead_process_is_taken_over(tmp_path):
     code = main(
         [
             "retrieve",
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(queries),
             "--out", str(outdir / "r.jsonl"),
         ]
@@ -536,7 +601,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         [
             "retrieve",
             "--config", str(config),
-            "--db", str(DATA / "fixture.qadb"),
+            "--db", _db(tmp_path),
             "--queries", str(queries),
             "--out", str(tmp_path / "r.jsonl"),
         ]

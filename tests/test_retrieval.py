@@ -1,12 +1,21 @@
 import random
+import shutil
 
 import numpy as np
 import pytest
 
-from fixtures import build_db, make_diversity_corpus, random_database, random_hits
+from fixtures import (
+    build_db,
+    forbid_database_parse,
+    make_diversity_corpus,
+    random_database,
+    random_hits,
+)
 from oracles import bm25_scores_direct, count_aggregation_oracle, max_aggregation_oracle
 
+from qadb import retrieval
 from qadb.corpus import Corpus, Passage
+from qadb.database import QADatabase
 from qadb.errors import EmbeddingDimMismatch, ModeUnavailable
 from qadb.retrieval import (
     QuestionIndex,
@@ -15,6 +24,7 @@ from qadb.retrieval import (
     build_passage_index,
     hashing_embedder,
     load_vectors,
+    open_index,
     retrieve_passages,
     retrieve_questions,
     save_vectors,
@@ -246,7 +256,7 @@ def _hits(*pairs):
 def test_max_takes_best_question_score():
     db = build_db([("p", "a", "q one?"), ("p", "b", "q two?")])
     qids = [q.qid for q in db.questions]
-    scored = score_passages_max(db, _hits((qids[0], 0.2), (qids[1], 0.9)))
+    scored = score_passages_max(build_index(db), _hits((qids[0], 0.2), (qids[1], 0.9)))
     assert len(scored) == 1
     assert scored[0].passage_id == "p"
     assert scored[0].score == 0.9
@@ -255,7 +265,7 @@ def test_max_takes_best_question_score():
 def test_max_omits_unhit_passages():
     db = build_db([("p1", "a", "q one?"), ("p2", "b", "q two?")])
     qid_one = next(q.qid for q in db.questions if q.question == "q one?")
-    scored = score_passages_max(db, _hits((qid_one, 1.0)))
+    scored = score_passages_max(build_index(db), _hits((qid_one, 1.0)))
     assert [ps.passage_id for ps in scored] == ["p1"]
 
 
@@ -265,7 +275,7 @@ def test_count_counts_topk_questions_per_passage():
     )
     by_text = {q.question: q.qid for q in db.questions}
     hits = _hits((by_text["q a?"], 4.0), (by_text["q b?"], 3.0), (by_text["q c?"], 2.0), (by_text["q d?"], 1.0))
-    scored = score_passages_count(db, hits, k=50)
+    scored = score_passages_count(build_index(db), hits, k=50)
     assert [(ps.passage_id, ps.score) for ps in scored] == [("p1", 3.0), ("p2", 1.0)]
 
 
@@ -273,14 +283,14 @@ def test_count_respects_k_cutoff():
     db = build_db([("p1", "a", "q a?"), ("p2", "b", "q b?")])
     by_text = {q.question: q.qid for q in db.questions}
     hits = _hits((by_text["q a?"], 2.0), (by_text["q b?"], 1.0))
-    scored = score_passages_count(db, hits, k=1)
+    scored = score_passages_count(build_index(db), hits, k=1)
     assert [(ps.passage_id, ps.score) for ps in scored] == [("p1", 1.0)]
 
 
 def test_count_multi_provenance_counts_once_per_passage():
     db = build_db([("p1", "a", "shared q?"), ("p2", "a", "shared q?")])
     qid = db.questions[0].qid
-    scored = score_passages_count(db, _hits((qid, 1.0)), k=50)
+    scored = score_passages_count(build_index(db), _hits((qid, 1.0)), k=50)
     assert {(ps.passage_id, ps.score) for ps in scored} == {("p1", 1.0), ("p2", 1.0)}
 
 
@@ -295,9 +305,15 @@ def test_count_ties_break_by_max_score_then_id():
         (by_text["q mid2?"], 5.0),
         (by_text["q low?"], 0.5),
     )
-    scored = score_passages_count(db, hits, k=50)
+    scored = score_passages_count(build_index(db), hits, k=50)
     # both passages count 2; pb holds the single best-scoring question
     assert [ps.passage_id for ps in scored] == ["pb", "pa"]
+
+
+def test_aggregation_rejects_a_hit_the_index_lacks():
+    index = build_index(build_db([("p1", "a", "q one?"), ("p2", "b", "q two?")]))
+    with pytest.raises(KeyError):
+        score_passages_max(index, _hits((0, 1.0), (7, 0.5)))
 
 
 def test_aggregation_matches_oracles_on_random_instances():
@@ -305,10 +321,11 @@ def test_aggregation_matches_oracles_on_random_instances():
     for _ in range(50):
         db = random_database(rng, max_passages=10, max_questions=30)
         hits = random_hits(rng, db, max_hits=20)
-        got_max = [(ps.passage_id, ps.score) for ps in score_passages_max(db, hits)]
+        index = build_index(db)  # the oracles read the database itself
+        got_max = [(ps.passage_id, ps.score) for ps in score_passages_max(index, hits)]
         assert got_max == max_aggregation_oracle(db, hits)
         k = rng.randint(1, 20)
-        got_count = [(ps.passage_id, int(ps.score)) for ps in score_passages_count(db, hits, k)]
+        got_count = [(ps.passage_id, int(ps.score)) for ps in score_passages_count(index, hits, k)]
         assert got_count == count_aggregation_oracle(db, hits, k)
 
 
@@ -318,7 +335,7 @@ def test_aggregation_matches_oracles_on_random_instances():
 def test_retrieve_passages_max_single_hit_returns_its_provenance():
     db = build_db([("p1", "a", "only question here?"), ("p2", "a", "only question here?")])
     index = build_index(db)
-    scored = retrieve_passages(index, db, "only question here", method="max", top_n=5)
+    scored = retrieve_passages(index, "only question here", method="max", top_n=5)
     assert {ps.passage_id for ps in scored} == {"p1", "p2"}
     assert all(ps.method == "max" for ps in scored)
 
@@ -327,7 +344,7 @@ def test_retrieve_passages_direct_needs_passage_index():
     db = _small_db()
     index = build_index(db)
     with pytest.raises(ModeUnavailable):
-        retrieve_passages(index, db, "query", method="direct")
+        retrieve_passages(index, "query", method="direct")
 
 
 def test_retrieve_passages_direct_ranks_passages():
@@ -341,7 +358,7 @@ def test_retrieve_passages_direct_ranks_passages():
     index = build_index(db)
     pindex = build_passage_index(corpus)
     scored = retrieve_passages(
-        index, db, "michigan stadium", method="direct", top_n=2, passage_index=pindex
+        index, "michigan stadium", method="direct", top_n=2, passage_index=pindex
     )
     assert scored[0].passage_id == "p1"
     assert scored[0].method == "direct"
@@ -353,7 +370,7 @@ def test_top_n_prefix_property():
     query = "generated question number 1"
     previous = []
     for top_n in (1, 2, 5, 10, 20):
-        current = retrieve_passages(index, db, query, method="count", top_n=top_n)
+        current = retrieve_passages(index, query, method="count", top_n=top_n)
         assert [ps.passage_id for ps in current[: len(previous)]] == [
             ps.passage_id for ps in previous
         ]
@@ -364,7 +381,7 @@ def test_unknown_method_and_mode_raise():
     db = _small_db()
     index = build_index(db)
     with pytest.raises(ValueError):
-        retrieve_passages(index, db, "q", method="median")
+        retrieve_passages(index, "q", method="median")
     with pytest.raises(ValueError):
         retrieve_questions(index, "q", k=1, mode="cosine")
 
@@ -435,3 +452,82 @@ def test_build_index_with_precomputed_vectors():
     hits = retrieve_questions(index, db.questions[0].question, k=1, mode="dense")
     assert hits[0].qid == db.questions[0].qid
     assert hits[0].score == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------------------- index image
+
+
+def test_empty_index_returns_no_hits_in_either_mode():
+    index = QuestionIndex([], [], hashing_embedder(8))
+    assert index.dense.shape == (0, 8)
+    assert retrieve_questions(index, "anything at all", 5, "dense") == []
+    assert retrieve_questions(index, "anything at all", 5, "sparse") == []
+
+
+def _answers(index, queries, mode="sparse"):
+    return [
+        [(ps.passage_id, ps.score) for ps in retrieve_passages(index, q, method=method, mode=mode)]
+        for q in queries
+        for method in ("max", "count")
+    ]
+
+
+@pytest.mark.parametrize("n_questions", [0, 40])
+def test_image_round_trips_every_array(tmp_path, monkeypatch, n_questions):
+    rng = random.Random(n_questions)
+    db = random_database(rng, 10, n_questions) if n_questions else QADatabase([])
+    path = tmp_path / "db.qadb"
+    db.save(path)
+    queries = ["generated question number 3", "number 1 7", "unseen words"]
+    embedder = hashing_embedder(8, seed=2)
+    cold = open_index(path, embedder)
+    assert (tmp_path / "db.qadb.index.npz").is_file()
+    forbid_database_parse(monkeypatch)
+    warm = open_index(path, embedder)
+    assert set(warm.arrays) == set(cold.arrays) | {"key"}
+    for name, array in cold.arrays.items():
+        assert warm.arrays[name].dtype == array.dtype, name
+        assert np.array_equal(warm.arrays[name], array), name
+    assert np.array_equal(warm.dense, cold.dense)
+    for mode in ("sparse", "dense"):
+        assert _answers(warm, queries, mode) == _answers(cold, queries, mode)
+    assert bool(n_questions) == any(_answers(warm, queries))
+
+
+def _other_database(tmp_path, path):
+    other = tmp_path / "other.qadb"
+    random_database(random.Random(4), 10, 40).save(other)
+    open_index(other)
+    shutil.copyfile(tmp_path / "other.qadb.index.npz", f"{path}.index.npz")
+
+
+def _other_k1_b(tmp_path, path):
+    open_index(path, k1=1.5, b=0.5)
+
+
+def _truncated(tmp_path, path):
+    open_index(path)
+    image = tmp_path / "db.qadb.index.npz"
+    image.write_bytes(image.read_bytes()[: image.stat().st_size // 2])
+
+
+@pytest.mark.parametrize("make_foreign", [_other_database, _other_k1_b, _truncated])
+def test_foreign_image_is_rebuilt_and_replaced(tmp_path, monkeypatch, make_foreign):
+    db = random_database(random.Random(3), 10, 40)
+    path = tmp_path / "db.qadb"
+    db.save(path)
+    make_foreign(tmp_path, path)
+    image = tmp_path / "db.qadb.index.npz"
+    foreign = image.read_bytes()
+    expected = build_index(db)
+    builds = []
+    monkeypatch.setattr(retrieval, "build_index", lambda *a, **k: builds.append(1) or expected)
+    index = open_index(path)
+    assert builds == [1]  # built from the database, not read from the foreign image
+    assert image.read_bytes() != foreign
+    forbid_database_parse(monkeypatch)
+    warm = open_index(path)
+    for name, array in expected.arrays.items():
+        assert np.array_equal(warm.arrays[name], array), name
+    queries = ["generated question number 5", "question 12"]
+    assert _answers(warm, queries) == _answers(index, queries)
