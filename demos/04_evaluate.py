@@ -24,6 +24,9 @@ class LookupQA:
     def __init__(self, table):
         self.table = table
 
+    def generate_batch(self, requests):
+        return [self.generate(request) for request in requests]
+
     def generate(self, request):
         question, _, context = request.prompt.removeprefix("question: ").partition(" context: ")
         answer = self.table.get(question)

@@ -1,7 +1,7 @@
 """Generation backends: a uniform seq2seq/extractive-QA interface.
 
-Every pipeline stage talks to a backend through one call, ``generate``,
-with stage-specific prompt formats:
+Every pipeline stage talks to a backend through one call,
+``generate_batch``, with stage-specific prompt formats:
 
 * answer detection:      ``context: <passage text>``
 * question generation:   ``answer: <span> title: <title> context: <passage text>``
@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import re
 import string
-import threading
 import time
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
-from .errors import BackendUnavailable, ProtocolError
-
-if TYPE_CHECKING:  # imported where used: commands with no remote backend never load it
-    import requests
+from . import jsonl
+from .errors import BackendUnavailable, ContractViolation, ProtocolError
 
 NOT_ANSWERABLE = "not answerable"
 
@@ -76,7 +75,7 @@ class GenerationResponse:
 
 
 class Backend(Protocol):
-    def generate(self, request: GenerationRequest) -> GenerationResponse: ...
+    def generate_batch(self, requests: Sequence[GenerationRequest]) -> list[GenerationResponse]: ...
 
 
 _QG_PROMPT = re.compile(r"^answer: (.*?)(?: title: (.*?))? context: (.*)$", re.DOTALL)
@@ -141,6 +140,9 @@ class StubBackend:
       else ``"not answerable"``,
     * revision: append the first passage token not already in the question.
     """
+
+    def generate_batch(self, requests: Sequence[GenerationRequest]) -> list[GenerationResponse]:
+        return [self.generate(request) for request in requests]
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         prompt = request.prompt
@@ -223,13 +225,13 @@ class StubBackend:
 
 
 class RemoteBackend:
-    """HTTP/JSON client for a generation service.
+    """HTTP/JSON client for a generation service, on one keep-alive connection.
 
     Protocol: POST ``{"inputs": [prompt, ...], "max_candidates": int,
     "decode_mode": str}``; reply ``{"outputs": [[candidate, ...], ...]}``.
-    Transport failures are retried with exponential backoff (3 retries by
-    default) before raising BackendUnavailable; malformed replies raise
-    ProtocolError. In-flight requests are bounded by ``max_in_flight``.
+    Each ``generate_batch`` call is one POST. Transport failures and 5xx
+    replies are retried with exponential backoff (3 retries by default)
+    before raising BackendUnavailable; other bad replies raise ProtocolError.
     """
 
     def __init__(
@@ -239,77 +241,94 @@ class RemoteBackend:
         timeout: float = 30.0,
         max_retries: int = 3,
         backoff: float = 0.5,
-        max_in_flight: int = 8,
-        session: requests.Session | None = None,
     ):
-        import requests
+        import http.client  # imported where used: it loads ssl, which only a remote backend needs
+        from urllib.parse import urlsplit
 
+        url = urlsplit(endpoint)
+        connection = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        try:
+            port = url.port
+        except ValueError:  # not a port number
+            port = -1
+        if url.scheme not in connection or not url.hostname or port == -1:
+            raise ContractViolation(f"not an http:// or https:// backend endpoint: {endpoint!r}")
+        if url.username is not None or url.password is not None:
+            raise ContractViolation(f"backend endpoint credentials are not supported: {endpoint!r}")
         self.endpoint = endpoint
-        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._limiter = threading.BoundedSemaphore(max_in_flight)
-        self._session = session or requests.Session()
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._connection = connection[url.scheme](url.hostname, port, timeout=timeout)
+        weakref.finalize(self, self._connection.close)  # the socket goes with its backend
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        outputs = self.generate_batch(
-            [request.prompt], request.max_candidates, request.decode_mode
-        )
-        candidates = outputs[0]
-        if len(candidates) > request.max_candidates:
-            raise ProtocolError(
-                f"backend returned {len(candidates)} candidates for "
-                f"max_candidates={request.max_candidates}"
-            )
-        return GenerationResponse(tuple(candidates))
+    def generate_batch(self, requests: Sequence[GenerationRequest]) -> list[GenerationResponse]:
+        import http.client
 
-    def generate_batch(
-        self, prompts: list[str], max_candidates: int, decode_mode: str
-    ) -> list[list[str]]:
-        import requests
-
-        payload = {
-            "inputs": list(prompts),
-            "max_candidates": max_candidates,
-            "decode_mode": decode_mode,
-        }
+        if not requests:
+            return []
+        modes = {(request.decode_mode, request.max_candidates) for request in requests}
+        if len(modes) > 1:
+            raise ValueError("one batch carries one decode_mode and one max_candidates")
+        ((decode_mode, max_candidates),) = modes
+        body = jsonl.dumps({"max_candidates": max_candidates, "decode_mode": decode_mode,
+                            "inputs": [r.prompt for r in requests]}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                with self._limiter:
-                    reply = self._session.post(
-                        self.endpoint, json=payload, timeout=self.timeout
-                    )
-            except requests.RequestException as exc:
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
+                self._connection.close()
                 last_error = exc
                 continue
-            if reply.status_code >= 500:
-                last_error = ProtocolError(f"server error {reply.status_code}")
+            if status >= 500:
+                last_error = ProtocolError(f"server error {status}")
                 continue
-            if reply.status_code != 200:
-                raise ProtocolError(f"backend rejected request: {reply.status_code}")
-            return self._parse_outputs(reply, len(prompts))
+            if status != 200:
+                raise ProtocolError(f"backend rejected request: {status}")
+            return self._parse_outputs(data, len(requests), max_candidates)
         raise BackendUnavailable(
             f"backend at {self.endpoint} unreachable after "
             f"{self.max_retries + 1} attempts: {last_error}"
         )
 
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One POST. A kept-alive connection the server has since closed fails
+        before any reply byte arrives; it is reopened and the request sent
+        once more, at no retry's cost: generation is a pure function of the prompt."""
+        for resend in (self._connection.sock is not None, False):
+            try:
+                self._connection.request("POST", self._path, body,
+                                         {"Content-Type": "application/json"})
+                reply = self._connection.getresponse()
+            except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is one too
+                if not resend:
+                    raise
+                self._connection.close()
+            else:
+                return reply.status, reply.read()
+
     @staticmethod
-    def _parse_outputs(reply: requests.Response, expected: int) -> list[list[str]]:
+    def _parse_outputs(data: bytes, expected: int, max_candidates: int) -> list[GenerationResponse]:
         try:
-            data = reply.json()
+            reply = jsonl.loads(data)
         except ValueError as exc:
             raise ProtocolError(f"backend reply is not JSON: {exc}") from exc
-        outputs = data.get("outputs") if isinstance(data, dict) else None
+        outputs = reply.get("outputs") if isinstance(reply, dict) else None
         if (
             not isinstance(outputs, list)
             or len(outputs) != expected
             or not all(
-                isinstance(row, list) and row and all(isinstance(c, str) for c in row)
+                isinstance(row, list)
+                and 0 < len(row) <= max_candidates
+                and all(isinstance(c, str) for c in row)
                 for row in outputs
             )
         ):
-            raise ProtocolError("backend reply missing well-formed 'outputs'")
-        return outputs
+            raise ProtocolError(
+                f"backend reply missing well-formed 'outputs' of {expected} rows "
+                f"of 1 to {max_candidates} candidates"
+            )
+        return [GenerationResponse(tuple(row)) for row in outputs]

@@ -110,9 +110,7 @@ def cmd_build_db(args) -> int:
     config = _load_config(args)
     corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
     backend = _make_backend(config)
-    pipeline = construction.PipelineConfig(
-        beam=config.beam, workers=args.workers, checkpoint_path=args.checkpoint
-    )
+    pipeline = construction.PipelineConfig(beam=config.beam, checkpoint_path=args.checkpoint)
     with _output_lock(Path(args.db).resolve().parent):
         db, report = construction.build_database(corpus, backend, pipeline)
         db.save(args.db)
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True, help="output database file")
     p.add_argument("--report", default=None, help="funnel report path (default: <db>.report.json)")
     p.add_argument("--checkpoint", default=None, help="resumable candidate-record file")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_build_db)
 
     p = sub.add_parser("retrieve", help="rank passages for a query file")

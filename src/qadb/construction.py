@@ -13,10 +13,9 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from . import jsonl
 from .backend import (
@@ -85,7 +84,6 @@ class Rejection:
 @dataclass
 class PipelineConfig:
     beam: int = DEFAULT_BEAM
-    workers: int = 1
     checkpoint_path: str | None = None
 
 
@@ -119,10 +117,8 @@ def detect_answers(passage: Passage, backend: Backend, beam: int = DEFAULT_BEAM)
     normalization are merged, keeping the highest-ranked surface form.
     Output preserves backend rank order.
     """
-    response = backend.generate(
-        GenerationRequest(
-            prompt=detection_prompt(passage.text), max_candidates=beam, decode_mode=BEAM
-        )
+    [response] = backend.generate_batch(
+        [GenerationRequest(detection_prompt(passage.text), max_candidates=beam, decode_mode=BEAM)]
     )
     detected = []
     seen: set[str] = set()
@@ -138,20 +134,25 @@ def detect_answers(passage: Passage, backend: Backend, beam: int = DEFAULT_BEAM)
 
 
 def generate_question(
-    passage: Passage, answer: DetectedAnswer, backend: Backend
-) -> CandidateQA | Rejection:
-    """Stage 2: one greedily decoded question per detected answer.
+    passage: Passage, answers: Sequence[DetectedAnswer], backend: Backend
+) -> list[CandidateQA | Rejection]:
+    """Stage 2: one greedily decoded question per detected answer, in one batch.
 
-    The output must parse as ``answer: <a'> question: <q>`` and repeat
-    the target answer (compared after normalization); otherwise the pair
-    is rejected, never raised.
+    An output must parse as ``answer: <a'> question: <q>`` and repeat its
+    target answer (compared after normalization); otherwise the pair is
+    rejected, never raised.
     """
-    response = backend.generate(
-        GenerationRequest(
-            prompt=question_generation_prompt(answer.span, passage.title, passage.text)
-        )
+    responses = backend.generate_batch(
+        [
+            GenerationRequest(question_generation_prompt(answer.span, passage.title, passage.text))
+            for answer in answers
+        ]
     )
-    match = _QG_OUTPUT.match(response.candidates[0])
+    return [_accept(passage, answer, r.candidates[0]) for answer, r in zip(answers, responses)]
+
+
+def _accept(passage: Passage, answer: DetectedAnswer, output: str) -> CandidateQA | Rejection:
+    match = _QG_OUTPUT.match(output)
     if not match:
         return Rejection(passage.id, answer.span, REJECT_UNPARSEABLE)
     echoed, question = match.group(1).strip(), match.group(2).strip()
@@ -164,47 +165,39 @@ def generate_question(
     return CandidateQA(passage.id, answer.span, question, verified=False)
 
 
-def verify(passage: Passage, qa: CandidateQA, backend: Backend) -> bool:
-    """Stage 3: machine-reading check of a generated question.
+def verify(passage: Passage, candidates: Sequence[CandidateQA], backend: Backend) -> list[bool]:
+    """Stage 3: machine-reading check of generated questions, in one batch.
 
-    False when the backend predicts "not answerable" or an answer that
-    differs from the original after normalization.
+    A pair fails when the backend predicts "not answerable" or an answer
+    that differs from the original after normalization.
     """
-    response = backend.generate(
-        GenerationRequest(prompt=reading_qa_prompt(qa.question, passage.text))
+    responses = backend.generate_batch(
+        [GenerationRequest(reading_qa_prompt(qa.question, passage.text)) for qa in candidates]
     )
-    prediction = response.candidates[0]
-    if prediction == NOT_ANSWERABLE:
-        return False
-    return normalize_answer(prediction) == normalize_answer(qa.answer)
+    return [
+        r.candidates[0] != NOT_ANSWERABLE
+        and normalize_answer(r.candidates[0]) == normalize_answer(qa.answer)
+        for qa, r in zip(candidates, responses)
+    ]
 
 
 def _process_passage(passage: Passage, backend: Backend, beam: int) -> dict:
-    """Run the three stages over one passage; the result is its checkpoint row."""
-    records = []
-    rejections: Counter = Counter()
+    """Run the three stages over one passage, one backend call per stage that
+    has anything to ask; the result is its checkpoint row."""
     answers = detect_answers(passage, backend, beam)
-    generated = 0
-    verified = 0
-    for answer in answers:
-        outcome = generate_question(passage, answer, backend)
-        if isinstance(outcome, Rejection):
-            rejections[outcome.reason] += 1
-            logger.debug(
-                "rejected answer %r from %s: %s", outcome.answer, passage.id, outcome.reason
-            )
-            continue
-        generated += 1
-        ok = verify(passage, outcome, backend)
-        verified += ok
-        records.append(replace(outcome, verified=ok).to_record())
+    outcomes = generate_question(passage, answers, backend) if answers else []
+    candidates = [outcome for outcome in outcomes if isinstance(outcome, CandidateQA)]
+    verdicts = verify(passage, candidates, backend) if candidates else []
+    rejected = [outcome for outcome in outcomes if isinstance(outcome, Rejection)]
+    for outcome in rejected:
+        logger.debug("rejected answer %r from %s: %s", outcome.answer, passage.id, outcome.reason)
     return {
         "passage_id": passage.id,
         "detected": len(answers),
-        "generated": generated,
-        "verified": verified,
-        "rejections": dict(rejections),
-        "records": records,
+        "generated": len(candidates),
+        "verified": sum(verdicts),
+        "rejections": dict(Counter(outcome.reason for outcome in rejected)),
+        "records": [replace(qa, verified=ok).to_record() for qa, ok in zip(candidates, verdicts)],
     }
 
 
@@ -235,15 +228,12 @@ def build_database(
         done = {row["passage_id"] for row in rows}
         pending = [p for p in corpus if p.id not in done]
 
-        step = partial(_process_passage, backend=backend, beam=config.beam)
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            # Stream results in corpus order, so a backend failure aborts
-            # with every passage finished so far already on disk.
-            for row in (pool.map if config.workers > 1 else map)(step, pending):
-                rows.append(row)
-                if path:
-                    log.write(jsonl.dumps(row) + "\n")
-                    log.flush()
+        for passage in pending:
+            row = _process_passage(passage, backend, config.beam)
+            rows.append(row)
+            if path:
+                log.write(jsonl.dumps(row) + "\n")
+                log.flush()
 
     report = FunnelReport(passages=len(corpus))
     rejections: Counter = Counter()

@@ -11,11 +11,11 @@ exactly the provenance relation retrieval aggregates over.
 
 from __future__ import annotations
 
-import re
 import string
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from . import jsonl
 from .errors import ContractViolation, CorruptDatabase, FormatVersionError
@@ -25,7 +25,6 @@ FORMAT_NAME = "qadb"
 FORMAT_VERSION = 1
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
-_WS = re.compile(r"\s+")
 
 
 def question_merge_key(question: str) -> str:
@@ -184,8 +183,9 @@ class QADatabase:
         jsonl.write(path, [header, *(question.to_record() for question in self.questions)])
 
     @classmethod
-    def load(cls, path: str | Path) -> "QADatabase":
-        records = jsonl.read(path, CorruptDatabase)
+    def load(cls, source: str | Path | TextIO) -> "QADatabase":
+        records = jsonl.read(source, CorruptDatabase)
+        path = getattr(source, "name", source)
         _, header = next(records, (0, None))
         if header is None:
             raise CorruptDatabase(f"{path}: empty file")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import BinaryIO, TextIO
 
@@ -20,6 +20,10 @@ from .errors import ParseError
 
 def dumps(record) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
+
+
+def loads(text: str | bytes):
+    return json.loads(text)
 
 
 def parse_lines(
@@ -45,11 +49,14 @@ def parse_lines(
         raise error(f"{prefix}not UTF-8 text ({exc.reason})") from exc
 
 
-def read(path: str | Path, error: type[Exception] = ParseError) -> Iterator[tuple[int, dict]]:
+def read(
+    source: str | Path | TextIO, error: type[Exception] = ParseError
+) -> Iterator[tuple[int, dict]]:
+    """The records of the file at path ``source``, or of a text handle open on one."""
     # File iteration splits at newlines only; str.splitlines would also
     # split inside records at the U+2028 that ``dumps`` leaves unescaped.
-    with open(path, encoding="utf-8") as fh:
-        yield from parse_lines(fh, str(path), error)
+    with nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8") as fh:
+        yield from parse_lines(fh, str(getattr(fh, "name", source)), error)
 
 
 @contextmanager

@@ -145,8 +145,8 @@ def disambig_f1(
         raise ContractViolation("disambig_f1 requires at least one disambiguation")
     scores = []
     for question, gold in disambiguations:
-        response = qa_backend.generate(
-            GenerationRequest(prompt=reading_qa_prompt(question, long_answer))
+        [response] = qa_backend.generate_batch(
+            [GenerationRequest(prompt=reading_qa_prompt(question, long_answer))]
         )
         prediction = response.candidates[0]
         if prediction == NOT_ANSWERABLE:

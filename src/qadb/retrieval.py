@@ -13,6 +13,7 @@ query it without parsing the database.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import re
 import struct
@@ -225,19 +226,22 @@ def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: flo
     One that is missing, of another key or unreadable is never read: the index
     is built from the database and the image replaced, or a warning says it was not.
     """
-    digest = hashlib.blake2b()
+    image = f"{db_path}.index.npz"
     with open(db_path, "rb") as fh:
+        digest = hashlib.blake2b()
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
-    key = f"qadb index v{IMAGE_VERSION} k1={k1!r} b={b!r} blake2b={digest.hexdigest()}"
-    image = f"{db_path}.index.npz"
-    try:
-        arrays = np.load(image, allow_pickle=False)
-        if arrays["key"].item() == key:
-            return QuestionIndex(embedder=embedder, dense_vectors=dense_vectors, arrays=arrays)
-    except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
-        pass
-    index = build_index(QADatabase.load(db_path), embedder, k1=k1, b=b, dense_vectors=dense_vectors)
+        key = f"qadb index v{IMAGE_VERSION} k1={k1!r} b={b!r} blake2b={digest.hexdigest()}"
+        try:
+            arrays = np.load(image, allow_pickle=False)
+            if arrays["key"].item() == key:
+                return QuestionIndex(embedder=embedder, dense_vectors=dense_vectors, arrays=arrays)
+        except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
+            pass
+        # Parse the very bytes just hashed, even if the file was replaced since.
+        fh.seek(0)
+        db = io.TextIOWrapper(fh, encoding="utf-8")
+        index = build_index(QADatabase.load(db), embedder, k1=k1, b=b, dense_vectors=dense_vectors)
     try:
         with jsonl.replacing(image) as fh:
             np.savez(fh, key=np.array(key), **index.arrays)

@@ -48,8 +48,8 @@ def revise_once(question: str, answer: str, passage: Passage, backend: Backend) 
     """One revision round; falls back to the input question on any bad output."""
     if not question or not answer:
         raise ValueError("revise_once requires a non-empty question and answer")
-    response = backend.generate(
-        GenerationRequest(prompt=revision_prompt(question, answer, passage.text))
+    [response] = backend.generate_batch(
+        [GenerationRequest(prompt=revision_prompt(question, answer, passage.text))]
     )
     match = _REVISION_OUTPUT.match(response.candidates[0])
     if not match:

@@ -15,8 +15,15 @@ from qadb.metrics import normalize_answer
 _READ = re.compile(r"^question: (.*?) context: (.*)$", re.DOTALL)
 
 
-class ScriptedBackend:
-    """Replays queued candidate lists, one per generate() call."""
+class PerPromptBackend:
+    """A backend defined by its answer to one request: a batch maps ``generate`` over it."""
+
+    def generate_batch(self, requests):
+        return [self.generate(request) for request in requests]
+
+
+class ScriptedBackend(PerPromptBackend):
+    """Replays queued candidate lists, one per prompt."""
 
     def __init__(self, replies: list[list[str]]):
         self._replies = deque(replies)
@@ -28,7 +35,7 @@ class ScriptedBackend:
         return GenerationResponse(tuple(candidates[: request.max_candidates]))
 
 
-class TableQABackend:
+class TableQABackend(PerPromptBackend):
     """Extractive-QA oracle: answers from a fixed table when mentioned in context."""
 
     def __init__(self, table: dict[str, str]):
@@ -43,7 +50,7 @@ class TableQABackend:
         return GenerationResponse((NOT_ANSWERABLE,))
 
 
-class FlakyBackend:
+class FlakyBackend(PerPromptBackend):
     """Delegates to an inner backend but fails on passages containing a marker."""
 
     def __init__(self, inner, marker: str, fail_times: int = 1):

@@ -1,9 +1,12 @@
+import http.server
 import json
 import math
 import os
 import shutil
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +14,11 @@ import pytest
 
 from fixtures import forbid_database_parse, make_toy_corpus
 
-from qadb import retrieval
+from qadb import jsonl, retrieval
+from qadb.backend import GenerationRequest, StubBackend
 from qadb.cli import main
 from qadb.config import ENDPOINT_ENV_VAR, RunConfig
-from qadb.corpus import save_corpus
+from qadb.corpus import load_corpus, save_corpus
 from qadb.database import QADatabase
 
 DATA = Path(__file__).parent / "data"
@@ -578,6 +582,93 @@ def test_output_lock_of_dead_process_is_taken_over(tmp_path):
     assert code == 0
     assert (outdir / "r.jsonl").exists()
     assert not lock.exists()
+
+
+class _StubServer(http.server.BaseHTTPRequestHandler):
+    """The stub backend behind the remote protocol, counting connections and POSTs."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        # headers and body go out in two sends: without this, each reply
+        # waits out the client's delayed ACK
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.server.connections += 1
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.posts.append(payload["inputs"])
+        mode = (payload["max_candidates"], payload["decode_mode"])
+        outputs = [
+            list(StubBackend().generate(GenerationRequest(prompt, *mode)).candidates)
+            for prompt in payload["inputs"]
+        ]
+        body = json.dumps({"outputs": outputs}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_remote_backend_run_equals_in_process_stub_run(tmp_path, monkeypatch):
+    corpus_path = str(DATA / "corpus.jsonl")
+    questions = str(_revision_inputs(tmp_path))
+
+    def build(out):
+        args = ["--corpus", corpus_path, "--db", str(out / "db.qadb"),
+                "--checkpoint", str(out / "run.ckpt")]
+        assert main(["build-db", *args]) == 0
+        report = json.loads((out / "db.qadb.report.json").read_text())
+        del report["fingerprint"]
+        return report
+
+    def revise(out):
+        args = ["--corpus", corpus_path, "--questions", questions, "--out", str(out / "rev.jsonl")]
+        assert main(["revise", *args]) == 0
+        return _read_jsonl(out / "rev.jsonl")[1]
+
+    local, remote = tmp_path / "local", tmp_path / "remote"
+    local_report, local_revised = build(local), revise(local)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubServer)
+    server.connections, server.posts = 0, []
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    monkeypatch.setenv(ENDPOINT_ENV_VAR, f"http://127.0.0.1:{server.server_port}/generate")
+    try:
+        remote_report = build(remote)
+        build_connections, build_posts = server.connections, server.posts
+        server.connections, server.posts = 0, []
+        remote_revised = revise(remote)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+    assert (remote / "db.qadb").read_bytes() == (local / "db.qadb").read_bytes()
+    assert remote_report == local_report
+    assert remote_revised == local_revised
+    # one connection per command; one POST per non-empty stage of each passage
+    assert build_connections == 1 and server.connections == 1
+    rows = [row for _, row in jsonl.read(remote / "run.ckpt")]
+    texts = {p.id: p.text for p in load_corpus(corpus_path)}
+    assert [sum(batch[0].endswith(texts[row["passage_id"]]) for batch in build_posts)
+            for row in rows] == [1 + (row["detected"] > 0) + (row["generated"] > 0) for row in rows]
+    assert len(build_posts) == sum(1 + (row["detected"] > 0) + (row["generated"] > 0) for row in rows)
+    # revise stays one request per revision round of a row
+    assert server.posts and all(len(batch) == 1 for batch in server.posts)
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://model-host/generate", "http://user:pw@model-host/"])
+def test_non_http_endpoint_exits_2(tmp_path, monkeypatch, capsys, endpoint):
+    monkeypatch.setenv(ENDPOINT_ENV_VAR, endpoint)
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(make_toy_corpus(2), str(corpus_path))
+    code = main(["build-db", "--corpus", str(corpus_path), "--db", str(tmp_path / "o.qadb")])
+    assert code == 2
+    assert endpoint in capsys.readouterr().err
 
 
 def test_env_var_overrides_endpoint(monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fixtures import FlakyBackend, ScriptedBackend, make_toy_corpus
+from fixtures import FlakyBackend, PerPromptBackend, ScriptedBackend, make_toy_corpus
 
 from qadb.backend import GenerationResponse, StubBackend
 from qadb.construction import (
@@ -75,7 +75,7 @@ def test_detect_char_start_is_span_offset():
 def test_generate_question_via_stub():
     passage = _passage("Crisler Center hosts basketball.", title="Arenas")
     answer = DetectedAnswer(passage.id, "Crisler Center", 0)
-    qa = generate_question(passage, answer, STUB)
+    [qa] = generate_question(passage, [answer], STUB)
     assert isinstance(qa, CandidateQA)
     assert qa.question == "what is Crisler Center of Arenas?"
 
@@ -86,7 +86,7 @@ def test_generate_question_accepts_normalized_echo():
     backend = ScriptedBackend(
         [["answer: the MICHIGAN stadium question: where is the big one?"]]
     )
-    qa = generate_question(passage, answer, backend)
+    [qa] = generate_question(passage, [answer], backend)
     assert isinstance(qa, CandidateQA)
     assert qa.question == "where is the big one?"
 
@@ -95,7 +95,7 @@ def test_generate_question_rejects_answer_mismatch():
     passage = _passage("Michigan Stadium is vast.")
     answer = DetectedAnswer(passage.id, "Michigan Stadium", 0)
     backend = ScriptedBackend([["answer: Crisler Center question: where is it?"]])
-    outcome = generate_question(passage, answer, backend)
+    [outcome] = generate_question(passage, [answer], backend)
     assert isinstance(outcome, Rejection)
     assert outcome.reason == "answer_mismatch"
 
@@ -104,7 +104,7 @@ def test_generate_question_rejects_unparseable_output():
     passage = _passage("Michigan Stadium is vast.")
     answer = DetectedAnswer(passage.id, "Michigan Stadium", 0)
     backend = ScriptedBackend([["no labels at all"]])
-    outcome = generate_question(passage, answer, backend)
+    [outcome] = generate_question(passage, [answer], backend)
     assert isinstance(outcome, Rejection)
     assert outcome.reason == "unparseable_output"
 
@@ -115,19 +115,19 @@ def test_generate_question_rejects_unparseable_output():
 def test_verify_not_answerable_fails():
     passage = _passage("Michigan Stadium is vast.")
     qa = CandidateQA(passage.id, "Michigan Stadium", "where is it?")
-    assert verify(passage, qa, ScriptedBackend([["not answerable"]])) is False
+    assert verify(passage, [qa], ScriptedBackend([["not answerable"]])) == [False]
 
 
 def test_verify_accepts_normalized_match():
     passage = _passage("Michigan Stadium is vast.")
     qa = CandidateQA(passage.id, "Michigan Stadium", "where is it?")
-    assert verify(passage, qa, ScriptedBackend([["The Michigan Stadium"]])) is True
+    assert verify(passage, [qa], ScriptedBackend([["The Michigan Stadium"]])) == [True]
 
 
 def test_verify_rejects_different_answer():
     passage = _passage("Michigan Stadium is vast.")
     qa = CandidateQA(passage.id, "Michigan Stadium", "where is it?")
-    assert verify(passage, qa, ScriptedBackend([["Crisler Center"]])) is False
+    assert verify(passage, [qa], ScriptedBackend([["Crisler Center"]])) == [False]
 
 
 # ------------------------------------------------------------- pipeline
@@ -149,7 +149,7 @@ def test_every_stored_answer_is_substring_of_provenance():
 
 
 def test_pipeline_with_unverifiable_answers_yields_empty_db():
-    class NeverAnswerable:
+    class NeverAnswerable(PerPromptBackend):
         def generate(self, request):
             if request.prompt.startswith("question: "):
                 return ScriptedBackend([["not answerable"]]).generate(request)
@@ -182,15 +182,7 @@ def test_pipeline_invariant_to_passage_order():
     assert db_a == db_b
 
 
-def test_pipeline_workers_match_sequential():
-    corpus = make_toy_corpus(8)
-    db_seq, report_seq = build_database(corpus, STUB, PipelineConfig(workers=1))
-    db_par, report_par = build_database(corpus, STUB, PipelineConfig(workers=4))
-    assert db_seq == db_par
-    assert report_seq.to_dict() == report_par.to_dict()
-
-
-class Rejecting:
+class Rejecting(PerPromptBackend):
     """The stub, except that question generation fails its acceptance rules
     for some answers; which ones depends only on the prompt."""
 
@@ -204,18 +196,53 @@ class Rejecting:
 
 
 class Recording:
+    """Passes batches on to ``inner``, keeping each batch's prompts."""
+
     def __init__(self, inner):
         self.inner = inner
-        self.prompts = []
+        self.batches = []
 
-    def generate(self, request):
-        self.prompts.append(request.prompt)
-        return self.inner.generate(request)
+    @property
+    def prompts(self):
+        return [prompt for batch in self.batches for prompt in batch]
+
+    def generate_batch(self, requests):
+        self.batches.append([request.prompt for request in requests])
+        return self.inner.generate_batch(requests)
 
 
-def test_checkpoint_resume_after_backend_failure(tmp_path):
+def test_one_backend_call_per_non_empty_stage():
+    class Staged(PerPromptBackend):
+        """The stub, except that it detects nothing in "Empty" passages and
+        question generation fails for every answer of "Rejected" ones."""
+
+        def generate(self, request):
+            if request.prompt.startswith("context: Empty"):
+                return GenerationResponse(("Nowhere",))
+            if request.prompt.startswith("answer: ") and " context: Rejected" in request.prompt:
+                return GenerationResponse(("no answer echoed",))
+            return STUB.generate(request)
+
+    corpus = Corpus(
+        [
+            _passage("Empty Marsh lies still.", pid="empty#0"),
+            _passage("Rejected Ridge rises over Pine Valley.", pid="rejected#0"),
+            _passage("Open Field borders Pine Valley.", pid="open#0"),
+        ]
+    )
+    backend = Recording(Staged())
+    db, report = build_database(corpus, backend)
+    calls = {p.id: [len(b) for b in backend.batches if b[0].endswith(p.text)] for p in corpus}
+    rejected, kept = (len(detect_answers(corpus[pid], STUB)) for pid in ("rejected#0", "open#0"))
+    assert calls == {"empty#0": [1], "rejected#0": [1, rejected], "open#0": [1, kept, kept]}
+    assert report.detected > report.generated == report.verified > 0
+    assert {entry.passage_ids for q in db for entry in q.answers} == {("open#0",)}
+
+
+@pytest.mark.parametrize("cut", range(6))
+def test_checkpoint_resume_after_backend_failure(tmp_path, cut):
     corpus = make_toy_corpus(6)
-    marker = list(corpus)[3].text.split()[0]  # fail on the 4th passage
+    marker = list(corpus)[cut].text.split()[0]  # fail on the passage at the cut
     checkpoint = tmp_path / "run.ckpt"
 
     flaky = FlakyBackend(Rejecting(), marker, fail_times=1)
@@ -228,14 +255,17 @@ def test_checkpoint_resume_after_backend_failure(tmp_path):
     db, report = build_database(
         corpus, resumed, PipelineConfig(checkpoint_path=str(checkpoint))
     )
-    finished_texts = [p.text for p in list(corpus)[:3]]
+    finished_texts = [p.text for p in list(corpus)[:cut]]
     for prompt in resumed.prompts:
         assert not any(prompt.endswith(text) for text in finished_texts)
 
     # the resumed run equals a clean run, rejection tallies included
     clean_db, clean_report = build_database(corpus, Rejecting())
-    _, finished_report = build_database(Corpus(list(corpus)[:3]), Rejecting())
-    assert set(finished_report.rejections) == {REJECT_ANSWER_MISMATCH, REJECT_UNPARSEABLE}
+    assert set(clean_report.rejections) == {REJECT_ANSWER_MISMATCH, REJECT_UNPARSEABLE}
+    if cut:  # the tallies of the passages before the cut come from the checkpoint alone
+        _, finished_report = build_database(Corpus(list(corpus)[:cut]), Rejecting())
+        both = {REJECT_ANSWER_MISMATCH, REJECT_UNPARSEABLE}
+        assert set(finished_report.rejections) == (both if cut >= 2 else {REJECT_ANSWER_MISMATCH})
     assert db == clean_db
     assert report.to_dict() == clean_report.to_dict()
 

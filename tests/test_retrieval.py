@@ -1,3 +1,5 @@
+import hashlib
+import os
 import random
 import shutil
 
@@ -531,3 +533,27 @@ def test_foreign_image_is_rebuilt_and_replaced(tmp_path, monkeypatch, make_forei
         assert np.array_equal(warm.arrays[name], array), name
     queries = ["generated question number 5", "question 12"]
     assert _answers(warm, queries) == _answers(index, queries)
+
+
+def test_database_replaced_while_opening_is_indexed_from_the_bytes_hashed(tmp_path, monkeypatch):
+    path = tmp_path / "db.qadb"
+    hashed_db = random_database(random.Random(5), 10, 40)
+    hashed_db.save(path)
+    hashed = path.read_bytes()
+    replacement = tmp_path / "replacement.qadb"
+    random_database(random.Random(6), 10, 40).save(replacement)
+    load = np.load
+
+    def replace_then_load(*args, **kwargs):  # the image is looked up after hashing, before a parse
+        if replacement.exists():
+            os.replace(replacement, path)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(np, "load", replace_then_load)
+    index = open_index(path)
+    assert path.read_bytes() != hashed
+    image = np.load(f"{path}.index.npz")
+    assert image["key"].item().endswith(f"blake2b={hashlib.blake2b(hashed).hexdigest()}")
+    for name, array in build_index(hashed_db).arrays.items():
+        assert np.array_equal(index.arrays[name], array), name
+        assert np.array_equal(image[name], array), name

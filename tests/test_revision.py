@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import ScriptedBackend
+from fixtures import PerPromptBackend, ScriptedBackend
 
 from qadb.backend import StubBackend
 from qadb.corpus import Passage
@@ -95,7 +95,7 @@ def test_max_rounds_one_bounds_revision():
 
 
 def test_identity_backend_keeps_original_for_any_input():
-    class Identity:
+    class Identity(PerPromptBackend):
         def generate(self, request):
             import re
 
