@@ -68,7 +68,7 @@ def main() -> None:
 
     for method in ("direct", "max", "count"):
         scored = retrieve_passages(
-            index, QUERY, method=method, top_n=5, passage_index=passage_index
+            passage_index if method == "direct" else index, QUERY, method=method, top_n=5
         )
         texts = [corpus[ps.passage_id].text for ps in scored]
         recall = answer_recall_at_k(texts, GOLD, 5)

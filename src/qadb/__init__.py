@@ -52,6 +52,7 @@ from .retrieval import (
     build_index,
     build_passage_index,
     hashing_embedder,
+    index_arrays,
     open_index,
     retrieve_passages,
     retrieve_questions,
@@ -97,6 +98,7 @@ __all__ = [
     "evaluate_retrieval_recall",
     "generate_question",
     "hashing_embedder",
+    "index_arrays",
     "ingest_passages",
     "load_corpus",
     "merge_questions",

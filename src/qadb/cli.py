@@ -21,7 +21,8 @@ from .backend import Backend, RemoteBackend, StubBackend
 from .config import RunConfig
 from .corpus import load_corpus
 from .database import QADatabase
-from .errors import ContractViolation, DuplicateId, ModeUnavailable, ParseError, QADBError
+from .errors import ContractViolation, DuplicateId, EmbeddingDimMismatch, ModeUnavailable
+from .errors import ParseError, QADBError
 from .metrics import evaluate_longform, evaluate_retrieval_recall, load_examples
 
 LOCK_NAME = ".qadb.lock"
@@ -78,9 +79,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _make_backend(config: RunConfig) -> Backend:
-    if config.backend_stub or not config.backend_endpoint:
-        return StubBackend()
-    return RemoteBackend(config.backend_endpoint)
+    return RemoteBackend(config.backend_endpoint) if config.backend_endpoint else StubBackend()
 
 
 def _read_jsonl(path: str, role: str, fields: dict[str, type | tuple[type, ...]]) -> list[dict]:
@@ -150,32 +149,33 @@ def cmd_retrieve(args) -> int:
         raise _CliError(2, f"unknown retrieval method: {config.retrieval_method}")
     if config.retrieval_mode not in ("sparse", "dense"):
         raise _CliError(2, f"unknown retrieval mode: {config.retrieval_mode}")
-    _require_file(args.db, "database")
     queries = _read_jsonl(args.queries, "queries", {"query_id": (str, int), "question": str})
 
     embedder = None
     if config.retrieval_mode == "dense":
         embedder = retrieval.hashing_embedder(config.embedding_dim, config.seed)
-    dense_vectors = None
-    if args.embeddings:
-        try:
-            embeddings = _require_file(args.embeddings, "embeddings")
-            dense_vectors = retrieval.load_vectors(str(embeddings))
-        except ValueError as exc:
-            raise _CliError(2, str(exc)) from exc
-    index = retrieval.open_index(
-        args.db, embedder, k1=config.bm25_k1, b=config.bm25_b, dense_vectors=dense_vectors
-    )
-    if config.retrieval_mode == "sparse":
-        _ = index.sparse  # read the BM25 arrays at set-up, not inside the first query
-    passage_index = None
-    if config.retrieval_method == "direct":
+    if config.retrieval_method == "direct":  # ranks passage texts; the database goes unread
         if not args.corpus:
             raise _CliError(2, "direct method needs --corpus to build the passage index")
         corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
-        passage_index = retrieval.build_passage_index(
-            corpus, embedder, k1=config.bm25_k1, b=config.bm25_b
-        )
+        index = retrieval.build_passage_index(corpus, embedder, k1=config.bm25_k1, b=config.bm25_b)
+    else:
+        _require_file(args.db, "database")
+        dense_vectors = None
+        if args.embeddings:
+            try:
+                embeddings = _require_file(args.embeddings, "embeddings")
+                dense_vectors = retrieval.load_vectors(str(embeddings))
+            except ValueError as exc:
+                raise _CliError(2, str(exc)) from exc
+        try:
+            index = retrieval.open_index(
+                args.db, embedder, k1=config.bm25_k1, b=config.bm25_b, dense_vectors=dense_vectors
+            )
+        except EmbeddingDimMismatch as exc:  # the hashing embedder alone never mismatches
+            raise _CliError(2, f"--embeddings {args.embeddings}: {exc}") from exc
+    if config.retrieval_mode == "sparse":
+        _ = index.sparse  # read the BM25 arrays at set-up, not inside the first query
 
     rows = []
     for query in queries:
@@ -187,7 +187,6 @@ def cmd_retrieve(args) -> int:
                 top_n=config.top_n,
                 mode=config.retrieval_mode,
                 k_questions=config.k_questions,
-                passage_index=passage_index,
             )
         except ModeUnavailable as exc:
             raise _CliError(2, str(exc)) from exc
@@ -274,9 +273,8 @@ def cmd_eval(args) -> int:
         overlap = {e.query_id for e in examples} & set(predictions)
         if not overlap:
             raise _CliError(2, "no overlapping query ids between predictions and gold")
-        backend = _make_backend(config)
-        label = "stub" if isinstance(backend, StubBackend) else config.backend_endpoint
-        report = evaluate_longform(predictions, examples, backend, backend_label=label)
+        report = evaluate_longform(predictions, examples, _make_backend(config),
+                                   backend_label=config.backend_endpoint or "stub")
     else:
         raise _CliError(2, f"unknown eval task: {args.task}")
 
@@ -302,10 +300,7 @@ def cmd_coverage(args) -> int:
     config = _load_config(args)
     db = QADatabase.load(_require_file(args.db, "database"))
     examples = _load_gold(args.gold)
-    try:
-        fraction = db.answer_coverage(examples)
-    except ContractViolation as exc:
-        raise _CliError(2, str(exc)) from exc
+    fraction = db.answer_coverage(examples)
     payload = {
         "fingerprint": config.fingerprint(),
         "coverage": fraction,

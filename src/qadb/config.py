@@ -20,9 +20,8 @@ ENDPOINT_ENV_VAR = "QADB_BACKEND_ENDPOINT"
 
 @dataclass
 class RunConfig:
-    # backend
+    # backend: remote when an endpoint is set, the in-process stub otherwise
     backend_endpoint: str = ""
-    backend_stub: bool = True
     # retrieval
     retrieval_mode: str = "sparse"
     retrieval_method: str = "count"
@@ -43,7 +42,6 @@ class RunConfig:
         endpoint = os.environ.get(ENDPOINT_ENV_VAR)
         if endpoint:
             self.backend_endpoint = endpoint
-            self.backend_stub = False
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

@@ -97,18 +97,10 @@ def _compute_stats(questions: Sequence[MergedQuestion]) -> DatabaseStats:
 
 
 class QADatabase:
-    """Immutable merged-question database with a passage -> questions index."""
+    """Immutable merged-question database; provenance lives in the answers."""
 
     def __init__(self, questions: Sequence[MergedQuestion]):
         self.questions: tuple[MergedQuestion, ...] = tuple(questions)
-        self._by_qid = {q.qid: q for q in self.questions}
-        gen_index: dict[str, set[int]] = {}
-        for question in self.questions:
-            for pid in question.passage_ids:
-                gen_index.setdefault(pid, set()).add(question.qid)
-        self.gen_index: dict[str, frozenset[int]] = {
-            pid: frozenset(qids) for pid, qids in gen_index.items()
-        }
         self.stats = _compute_stats(self.questions)
 
     def __len__(self) -> int:
@@ -121,10 +113,6 @@ class QADatabase:
         if not isinstance(other, QADatabase):
             return NotImplemented
         return self.questions == other.questions
-
-    def gen(self, passage_id: str) -> set[MergedQuestion]:
-        """The set of merged questions generated from a passage."""
-        return {self._by_qid[qid] for qid in self.gen_index.get(passage_id, ())}
 
     def normalized_answers(self) -> set[str]:
         return {
@@ -185,7 +173,7 @@ class QADatabase:
     @classmethod
     def load(cls, source: str | Path | TextIO) -> "QADatabase":
         records = jsonl.read(source, CorruptDatabase)
-        path = getattr(source, "name", source)
+        path = source if isinstance(source, (str, Path)) else getattr(source, "name", source)
         _, header = next(records, (0, None))
         if header is None:
             raise CorruptDatabase(f"{path}: empty file")

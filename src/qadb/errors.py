@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the CLI exits 2 on input errors."""
 
 
 class QADBError(Exception):
@@ -25,16 +25,12 @@ class ProtocolError(QADBError):
     """The backend reply (or prompt) violated the generation protocol."""
 
 
-class FormatVersionError(QADBError):
+class FormatVersionError(ParseError):
     """A persisted file declares a format version newer than this code."""
 
 
-class CorruptDatabase(QADBError):
+class CorruptDatabase(ParseError):
     """A persisted database file is truncated or internally inconsistent."""
-
-
-class EmbeddingDimMismatch(QADBError):
-    """An embedder returned vectors of inconsistent dimensionality."""
 
 
 class ModeUnavailable(QADBError):
@@ -43,3 +39,7 @@ class ModeUnavailable(QADBError):
 
 class ContractViolation(QADBError):
     """An operation was called with arguments outside its contract."""
+
+
+class EmbeddingDimMismatch(ContractViolation):
+    """Vectors of one index, or a query's, disagree in count or dimensionality."""

@@ -20,6 +20,7 @@ import struct
 import sys
 import zipfile
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -128,18 +129,13 @@ class QuestionIndex:
 
     Built over generated questions for indirect retrieval, and reused
     over passage texts for the direct baseline. It runs from ``arrays``
-    alone, built from ``keys`` and ``texts`` or loaded by ``open_index``;
-    the BM25 arrays are read at the first sparse query. Entry i credits
+    alone, made by ``index_arrays`` or loaded by ``open_index``; the BM25
+    arrays are read at the first sparse query. Entry i credits
     ``passages[passage_cols[passage_offsets[i]:passage_offsets[i + 1]]]``.
     """
 
-    def __init__(self, keys: Sequence[int | str] = (), texts: Sequence[str] = (),
-                 embedder: Embedder | None = None, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B,
-                 dense_vectors: np.ndarray | None = None,
-                 generated: Mapping[str, Collection[int | str]] | None = None,
-                 arrays: Mapping[str, np.ndarray] | None = None):
-        if arrays is None:
-            arrays = _index_arrays(list(keys), list(texts), k1, b, generated or {})
+    def __init__(self, arrays: Mapping[str, np.ndarray], embedder: Embedder | None = None, *,
+                 dense_vectors: np.ndarray | None = None):
         self.arrays = arrays  # an NpzFile reads a member each time it is indexed
         self.keys, self.rank = arrays["keys"], arrays["rank"]
         self.row_of = dict(zip(self.keys.tolist(), range(len(self.keys))))
@@ -148,10 +144,10 @@ class QuestionIndex:
             arrays[name].tolist() for name in ("passages", "passage_offsets", "passage_cols"))
         self.embedder = embedder
         if dense_vectors is not None:
-            if dense_vectors.shape[0] != len(self.keys):
+            width = dense_vectors.shape[1] if embedder is None else np.size(embedder(""))
+            if dense_vectors.shape != (len(self.keys), width):
                 raise EmbeddingDimMismatch(
-                    f"{dense_vectors.shape[0]} vectors for {len(self.keys)} texts"
-                )
+                    f"vectors of shape {dense_vectors.shape}, expected {(len(self.keys), width)}")
             self.dense: np.ndarray | None = _unit_rows(np.asarray(dense_vectors, dtype=np.float64))
         elif embedder is not None:
             data, ends = arrays["text_utf8"].tobytes(), arrays["text_offsets"].tolist()
@@ -173,14 +169,17 @@ class QuestionIndex:
         return _unit_rows(vector[None, :])[0]
 
 
-def _index_arrays(keys: list, texts: list[str], k1: float, b: float,
-                  generated: Mapping[str, Collection]) -> dict[str, np.ndarray]:
-    """``QuestionIndex.arrays``; ``generated`` maps a passage id to the keys generated from it."""
-    table = sorted(generated)
-    row = {key: i for i, key in enumerate(keys)}
-    sizes = [len(generated[pid]) for pid in table]  # a list per passage would set off full GCs
-    rows = np.fromiter((row[key] for pid in table for key in generated[pid]), np.int64, sum(sizes))
-    by_row = np.argsort(rows, kind="stable")  # passage columns stay ascending within a row
+def index_arrays(keys: Sequence[int | str], texts: Sequence[str],
+                 sources: Sequence[Collection[str]] | None = None, *,
+                 k1: float, b: float) -> dict[str, np.ndarray]:
+    """``QuestionIndex.arrays`` for entries ``keys[i]`` with ``texts[i]``; entry i
+    credits each passage in ``sources[i]`` once, and none without ``sources``."""
+    sources = [()] * len(keys) if sources is None else sources
+    if len(sources) != len(keys):
+        raise ValueError(f"{len(sources)} sources for {len(keys)} keys")
+    table = sorted(set().union(*sources))
+    col = {pid: c for c, pid in enumerate(table)}
+    sizes = [len(set(pids)) for pids in sources]
     blobs = [text.encode("utf-8") for text in texts]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return {
@@ -188,8 +187,10 @@ def _index_arrays(keys: list, texts: list[str], k1: float, b: float,
         # the tie-break: rank[i] is the place of keys[i] in ascending key order
         "rank": np.argsort(order),  # the inverse permutation
         "passages": np.array(table, dtype=str),
-        "passage_offsets": np.searchsorted(rows[by_row], np.arange(len(keys) + 1)),
-        "passage_cols": np.repeat(np.arange(len(table), dtype=np.int32), sizes)[by_row],
+        "passage_offsets": np.cumsum([0, *sizes]),
+        # ascending within an entry, as ``table`` is sorted
+        "passage_cols": np.fromiter((col[pid] for pids in sources for pid in sorted(set(pids))),
+                                    np.int32, sum(sizes)),
         "text_utf8": np.frombuffer(b"".join(blobs), dtype=np.uint8),
         "text_offsets": np.cumsum([0, *map(len, blobs)]),
         **_Bm25.build(map(tokenize, texts), k1, b),
@@ -214,8 +215,12 @@ def build_index(db: QADatabase, embedder: Embedder | None = None, *, k1: float =
                 b: float = DEFAULT_B, dense_vectors: np.ndarray | None = None) -> QuestionIndex:
     """Index a question database; dense vectors only when an embedder is given."""
     questions = db.questions
-    return QuestionIndex([q.qid for q in questions], [q.question for q in questions], embedder,
-                         k1=k1, b=b, dense_vectors=dense_vectors, generated=db.gen_index)
+    # a lone answer's tuple, not a new set per question, spares the GC passes over the database
+    sources = [q.answers[0].passage_ids if len(q.answers) == 1 else q.passage_ids
+               for q in questions]
+    arrays = index_arrays([q.qid for q in questions], [q.question for q in questions], sources,
+                          k1=k1, b=b)
+    return QuestionIndex(arrays, embedder, dense_vectors=dense_vectors)
 
 
 def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: float = DEFAULT_K1,
@@ -233,9 +238,13 @@ def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: flo
             digest.update(block)
         key = f"qadb index v{IMAGE_VERSION} k1={k1!r} b={b!r} blake2b={digest.hexdigest()}"
         try:
-            arrays = np.load(image, allow_pickle=False)
-            if arrays["key"].item() == key:
-                return QuestionIndex(embedder=embedder, dense_vectors=dense_vectors, arrays=arrays)
+            with ExitStack() as stack:  # closes the image unless the index returned reads it
+                arrays = np.lib.npyio.NpzFile(stack.enter_context(open(image, "rb")),
+                                              own_fid=True, allow_pickle=False)
+                if arrays["key"].item() == key:
+                    index = QuestionIndex(arrays, embedder, dense_vectors=dense_vectors)
+                    stack.pop_all()
+                    return index
         except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
             pass
         # Parse the very bytes just hashed, even if the file was replaced since.
@@ -253,7 +262,8 @@ def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: flo
 def build_passage_index(corpus: Corpus, embedder: Embedder | None = None, *,
                         k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> QuestionIndex:
     """Passage-text index for the direct retrieval baseline."""
-    return QuestionIndex([p.id for p in corpus], [p.text for p in corpus], embedder, k1=k1, b=b)
+    return QuestionIndex(index_arrays([p.id for p in corpus], [p.text for p in corpus], k1=k1, b=b),
+                         embedder)
 
 
 def _top_k(scores: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
@@ -339,20 +349,17 @@ def retrieve_passages(
     top_n: int = 10,
     mode: str = SPARSE,
     k_questions: int = DEFAULT_QUESTION_FETCH,
-    passage_index: QuestionIndex | None = None,
 ) -> list[PassageScore]:
     """Ranked passages for a query under the chosen aggregation method.
 
     Question-based methods fetch ``k_questions`` question hits before
-    aggregation; the direct baseline needs a prebuilt ``passage_index``.
+    aggregation; for the direct baseline ``index`` is a passage index.
     The former call ``(index, db, query)`` still works; ``db`` goes unread.
     """
     if former:
         (query,) = former
     if method == METHOD_DIRECT:
-        if passage_index is None:
-            raise ModeUnavailable("direct method requires a passage index")
-        hits = retrieve_questions(passage_index, query, top_n, mode)
+        hits = retrieve_questions(index, query, top_n, mode)
         return [PassageScore(str(h.qid), h.score, METHOD_DIRECT) for h in hits]
     hits = retrieve_questions(index, query, k_questions, mode)
     if method == METHOD_MAX:

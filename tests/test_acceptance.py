@@ -216,11 +216,10 @@ def test_criterion_7_diversity_demonstration():
 
     def recall(method: str) -> float:
         scored = retrieve_passages(
-            index,
+            passage_index if method == "direct" else index,
             DIVERSITY_QUERY,
             method=method,
             top_n=5,
-            passage_index=passage_index,
         )
         texts = [corpus[ps.passage_id].text for ps in scored]
         return answer_recall_at_k(texts, DIVERSITY_GOLD, 5)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fixtures import forbid_database_parse, make_toy_corpus
+from oracles import bm25_scores_direct
 
 from qadb import jsonl, retrieval
 from qadb.backend import GenerationRequest, StubBackend
@@ -219,34 +220,97 @@ def test_retrieve_direct_with_corpus_works(tmp_path):
     assert records and all(r["method"] == "direct" for r in records)
 
 
+def _direct_oracle_rows(top_n):
+    """Direct BM25 over the corpus passages, ranked (score desc, passage id asc)."""
+    passages = [(p.id, p.text) for p in load_corpus(str(DATA / "corpus.jsonl"))]
+    rows = []
+    for query in (json.loads(line) for line in (DATA / "queries.jsonl").read_text().splitlines()):
+        scores = bm25_scores_direct(query["question"], [text for _, text in passages])
+        ranked = sorted((-score, pid) for (pid, _), score in zip(passages, scores) if score > 0)
+        rows += [
+            {"method": "direct", "passage_id": pid, "query_id": query["query_id"],
+             "rank": rank, "score": -neg}
+            for rank, (neg, pid) in enumerate(ranked[:top_n], start=1)
+        ]
+    return rows
+
+
+def test_retrieve_direct_reads_only_the_corpus(tmp_path):
+    config = tmp_path / "direct.txt"
+    config.write_text("retrieval_method = direct\ntop_n = 5\n")
+    extra = ["--corpus", str(DATA / "corpus.jsonl")]
+    assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl", *extra, config=config) == 0
+    assert not (tmp_path / "fixture.qadb.index.npz").exists()
+    _, records = _read_jsonl(tmp_path / "results.jsonl")
+    assert records == _direct_oracle_rows(5)
+    junk = tmp_path / "junk.qadb"
+    junk.write_text("not a database\n")
+    assert _retrieve(tmp_path, junk, "junk.jsonl", *extra, config=config) == 0
+    assert (tmp_path / "junk.jsonl").read_bytes() == (tmp_path / "results.jsonl").read_bytes()
+    assert not (tmp_path / "junk.qadb.index.npz").exists()
+
+
+def _bad_database(tmp_path, case):
+    """The fixture database with a record missing, a line of invalid JSON, or version 9."""
+    lines = (DATA / "fixture.qadb").read_text().splitlines(keepends=True)
+    if case.endswith("short_db"):
+        lines = lines[:-1]
+    elif case.endswith("invalid_json_db"):
+        lines[2] = "{not json\n"
+    else:
+        lines[0] = json.dumps({**json.loads(lines[0]), "version": 9}) + "\n"
+    path = tmp_path / "bad.qadb"
+    path.write_text("".join(lines))
+    return path
+
+
 @pytest.mark.parametrize(
     "case",
-    ["bad_embeddings", "number_query", "non_string_question"],
+    [
+        "bad_embeddings", "number_query", "non_string_question",
+        "short_db", "invalid_json_db", "version_9_db",
+        "coverage_short_db", "coverage_invalid_json_db", "coverage_version_9_db",
+        "few_embeddings", "narrow_embeddings",
+    ],
 )
 def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     queries = tmp_path / "queries.jsonl"
     queries.write_text(json.dumps({"query_id": "q1", "question": "where?"}) + "\n")
-    extra = []
+    db, named, extra = _db(tmp_path), queries, []
     if case == "bad_embeddings":
-        embeddings = tmp_path / "vectors.bin"
-        embeddings.write_bytes(b"not an embedding file")
-        extra = ["--embeddings", str(embeddings)]
+        named = tmp_path / "vectors.bin"
+        named.write_bytes(b"not an embedding file")
+        extra = ["--embeddings", str(named)]
     elif case == "number_query":
         queries.write_text("42\n")
-    else:
+    elif case == "non_string_question":
         queries.write_text(json.dumps({"query_id": "q1", "question": 7}) + "\n")
-    code = main(
-        [
-            "retrieve",
-            "--db", _db(tmp_path),
-            "--queries", str(queries),
-            "--out", str(tmp_path / "r.jsonl"),
-            *extra,
-        ]
-    )
+    elif case.endswith("_db"):
+        db = named = _bad_database(tmp_path, case)
+    else:  # vectors that do not fit the 79 questions, or queries embedded in width 64
+        named = tmp_path / "vectors.qvec"
+        retrieval.save_vectors(str(named), np.ones((3, 64) if case == "few_embeddings" else (79, 8)))
+        config = tmp_path / "dense.txt"
+        config.write_text("retrieval_mode = dense\nembedding_dim = 64\n")
+        extra = ["--embeddings", str(named), "--config", str(config)]
+    if case.startswith("coverage_"):
+        code = main(["coverage", "--db", str(db), "--gold", str(DATA / "gold.jsonl")])
+    else:
+        code = main(
+            [
+                "retrieve",
+                "--db", str(db),
+                "--queries", str(queries),
+                "--out", str(tmp_path / "r.jsonl"),
+                *extra,
+            ]
+        )
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(named) in err
+    if case in ("few_embeddings", "narrow_embeddings"):
+        assert "--embeddings" in err
 
 
 def _run_reading(role, path, tmp_path):
@@ -661,6 +725,22 @@ def test_remote_backend_run_equals_in_process_stub_run(tmp_path, monkeypatch):
     assert server.posts and all(len(batch) == 1 for batch in server.posts)
 
 
+def test_config_file_endpoint_selects_the_remote_backend(tmp_path):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubServer)
+    server.connections, server.posts = 0, []
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    config = tmp_path / "remote.txt"
+    config.write_text(f"backend_endpoint = http://127.0.0.1:{server.server_port}/generate\n")
+    try:
+        code = main(["build-db", "--config", str(config), "--corpus", str(DATA / "corpus.jsonl"),
+                     "--db", str(tmp_path / "db.qadb")])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 0
+    assert server.connections == 1 and server.posts
+
+
 @pytest.mark.parametrize("endpoint", ["ftp://model-host/generate", "http://user:pw@model-host/"])
 def test_non_http_endpoint_exits_2(tmp_path, monkeypatch, capsys, endpoint):
     monkeypatch.setenv(ENDPOINT_ENV_VAR, endpoint)
@@ -675,7 +755,6 @@ def test_env_var_overrides_endpoint(monkeypatch):
     monkeypatch.setenv(ENDPOINT_ENV_VAR, "http://model-host:8000/")
     config = RunConfig()
     assert config.backend_endpoint == "http://model-host:8000/"
-    assert config.backend_stub is False
 
 
 def test_fingerprint_stable_and_param_sensitive():

@@ -66,38 +66,6 @@ def test_merge_is_order_free():
     assert build_db(rows) == build_db(list(reversed(rows)))
 
 
-def test_gen_returns_provenance_questions():
-    db = build_db(
-        [
-            ("p1", "a", "q one?"),
-            ("p1", "b", "q two?"),
-            ("p1", "c", "q three?"),
-            ("p2", "d", "q four?"),
-        ]
-    )
-    assert len(db.gen("p1")) == 3
-    assert db.gen("unknown") == set()
-
-
-def test_gen_after_merge_spans_both_passages():
-    db = build_db([("p1", "a", "same q?"), ("p2", "a", "same q?")])
-    merged = db.questions[0]
-    assert merged in db.gen("p1")
-    assert merged in db.gen("p2")
-
-
-def test_gen_index_matches_recomputation():
-    rng = random.Random(5)
-    for _ in range(20):
-        db = random_database(rng, max_passages=10, max_questions=30)
-        for pid, qids in db.gen_index.items():
-            recomputed = {q.qid for q in db.questions if pid in q.passage_ids}
-            assert qids == recomputed
-        # and no passage with questions is missing from the index
-        all_pids = {pid for q in db.questions for pid in q.passage_ids}
-        assert all_pids == set(db.gen_index)
-
-
 def test_stats_ordering_invariant():
     rng = random.Random(9)
     for _ in range(30):
@@ -128,7 +96,6 @@ def test_save_load_round_trip(tmp_path):
     loaded = QADatabase.load(path)
     assert loaded == db
     assert loaded.stats == db.stats
-    assert loaded.gen_index == db.gen_index
 
 
 def test_load_empty_file(tmp_path):

@@ -17,14 +17,17 @@ from oracles import bm25_scores_direct, count_aggregation_oracle, max_aggregatio
 
 from qadb import retrieval
 from qadb.corpus import Corpus, Passage
-from qadb.database import QADatabase
+from qadb.database import AnswerEntry, MergedQuestion, QADatabase
 from qadb.errors import EmbeddingDimMismatch, ModeUnavailable
 from qadb.retrieval import (
+    DEFAULT_B,
+    DEFAULT_K1,
     QuestionIndex,
     RetrievalHit,
     build_index,
     build_passage_index,
     hashing_embedder,
+    index_arrays,
     load_vectors,
     open_index,
     retrieve_passages,
@@ -36,6 +39,10 @@ from qadb.retrieval import (
 )
 
 # ------------------------------------------------------------- indexing
+
+
+def _arrays(keys, texts):
+    return index_arrays(keys, texts, k1=DEFAULT_K1, b=DEFAULT_B)
 
 
 def _small_db():
@@ -59,6 +66,27 @@ def test_build_index_dense_unit_rows():
     assert index.dense.shape == (10, 64)
     norms = np.linalg.norm(index.dense, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-6)
+
+
+def test_question_passage_table_is_each_questions_provenance():
+    rng = random.Random(21)
+    repeated = AnswerEntry("x", ("p2", "p1", "p2"), 3)  # a stored id twice still credits once
+    merged = 0
+    for db in [QADatabase([MergedQuestion(0, "q?", (repeated,))]),
+               *(random_database(rng, max_passages=10, max_questions=30) for _ in range(30))]:
+        index = build_index(db)
+        assert index.keys.tolist() == [q.qid for q in db.questions]
+        for row, question in enumerate(db.questions):
+            cols = index.passage_cols[index.passage_offsets[row]:index.passage_offsets[row + 1]]
+            assert [index.passages[col] for col in cols] == sorted(question.passage_ids)
+            merged += len(question.passage_ids) > 1
+        assert index.passages == sorted({pid for q in db.questions for pid in q.passage_ids})
+    assert merged > 0  # questions merged from 2-3 passages are among the instances
+
+
+def test_index_arrays_rejects_sources_of_another_length():
+    with pytest.raises(ValueError, match="1 sources for 2 keys"):
+        index_arrays([1, 2], ["a b", "c"], [{"p1"}], k1=DEFAULT_K1, b=DEFAULT_B)
 
 
 def test_build_index_mixed_dims_rejected():
@@ -173,7 +201,7 @@ def _tied_index(keys):
     group = {"alpha beta": 0, "alpha": 1, "gamma": 2}
     vectors = np.eye(3)[[group[t] for t in texts]]
     embedder = lambda text: np.array([3.0, 2.0, 1.0])  # noqa: E731
-    return QuestionIndex(keys, texts, embedder, dense_vectors=vectors)
+    return QuestionIndex(_arrays(keys, texts), embedder, dense_vectors=vectors)
 
 
 @pytest.mark.parametrize("mode", ["sparse", "dense"])
@@ -202,7 +230,7 @@ def test_top_k_with_k_equal_to_and_above_index_size(mode):
 def test_dense_zero_query_vector_orders_by_key_alone():
     keys = random.Random(7).sample(range(10_000), 60)
     texts = [f"topic {i} question" for i in range(60)]
-    index = QuestionIndex(keys, texts, hashing_embedder(dim=16, seed=1))
+    index = QuestionIndex(_arrays(keys, texts), hashing_embedder(dim=16, seed=1))
     assert not index.embed_query("?!").any()
     for k in (1, 7, 60, 61):
         hits = _hit_tuples(index, "?!", k, "dense")
@@ -223,7 +251,7 @@ def test_top_k_matches_full_sort_on_random_instances():
         base = np.random.default_rng(trial).normal(size=(max(1, n // 3), 8))
         vectors = base[[rng.randrange(len(base)) for _ in range(n)]]
         query_vector = np.random.default_rng(1000 + trial).normal(size=8)
-        index = QuestionIndex(keys, texts, lambda text: query_vector, dense_vectors=vectors)
+        index = QuestionIndex(_arrays(keys, texts), lambda text: query_vector, dense_vectors=vectors)
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 3)))
         for mode in ("sparse", "dense"):
             k = rng.randint(1, n + 3)
@@ -238,7 +266,7 @@ def test_bm25_scores_are_exactly_the_positive_rows():
         n_docs = rng.randint(1, 60)
         texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 6))) for _ in range(n_docs)]
         query = " ".join(rng.choices(vocab + ["unseen"], k=rng.randint(0, 4)))
-        found = QuestionIndex(range(len(texts)), texts).sparse.scores(tokenize(query))
+        found = QuestionIndex(_arrays(range(len(texts)), texts)).sparse.scores(tokenize(query))
         oracle = bm25_scores_direct(query, texts)
         positive = [i for i, score in enumerate(oracle) if score > 0]
         assert found["row"].tolist() == positive
@@ -342,13 +370,6 @@ def test_retrieve_passages_max_single_hit_returns_its_provenance():
     assert all(ps.method == "max" for ps in scored)
 
 
-def test_retrieve_passages_direct_needs_passage_index():
-    db = _small_db()
-    index = build_index(db)
-    with pytest.raises(ModeUnavailable):
-        retrieve_passages(index, "query", method="direct")
-
-
 def test_retrieve_passages_direct_ranks_passages():
     corpus = Corpus(
         [
@@ -356,12 +377,8 @@ def test_retrieve_passages_direct_ranks_passages():
             Passage.from_text("p2", "T2", "crisler center hosts basketball"),
         ]
     )
-    db = _small_db()
-    index = build_index(db)
     pindex = build_passage_index(corpus)
-    scored = retrieve_passages(
-        index, "michigan stadium", method="direct", top_n=2, passage_index=pindex
-    )
+    scored = retrieve_passages(pindex, "michigan stadium", method="direct", top_n=2)
     assert scored[0].passage_id == "p1"
     assert scored[0].method == "direct"
 
@@ -460,7 +477,7 @@ def test_build_index_with_precomputed_vectors():
 
 
 def test_empty_index_returns_no_hits_in_either_mode():
-    index = QuestionIndex([], [], hashing_embedder(8))
+    index = QuestionIndex(_arrays([], []), hashing_embedder(8))
     assert index.dense.shape == (0, 8)
     assert retrieve_questions(index, "anything at all", 5, "dense") == []
     assert retrieve_questions(index, "anything at all", 5, "sparse") == []
@@ -542,14 +559,14 @@ def test_database_replaced_while_opening_is_indexed_from_the_bytes_hashed(tmp_pa
     hashed = path.read_bytes()
     replacement = tmp_path / "replacement.qadb"
     random_database(random.Random(6), 10, 40).save(replacement)
-    load = np.load
+    load = QADatabase.load
 
-    def replace_then_load(*args, **kwargs):  # the image is looked up after hashing, before a parse
+    def replace_then_load(*args, **kwargs):  # the database is parsed after hashing
         if replacement.exists():
             os.replace(replacement, path)
         return load(*args, **kwargs)
 
-    monkeypatch.setattr(np, "load", replace_then_load)
+    monkeypatch.setattr(QADatabase, "load", replace_then_load)
     index = open_index(path)
     assert path.read_bytes() != hashed
     image = np.load(f"{path}.index.npz")
