@@ -36,7 +36,7 @@ def main() -> None:
     corpus = Corpus(passages)
     print(f"corpus: {len(corpus)} passages")
     for p in corpus:
-        print(f"  {p.id}  ({p.token_count} tokens)")
+        print(f"  {p.id}  ({len(p.text.split())} tokens)")
 
     # 2. run the three-stage pipeline; the stub backend is a pure function
     #    of its prompts, so this demo is reproducible bit for bit

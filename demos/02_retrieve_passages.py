@@ -25,19 +25,19 @@ GOLD = ("Michigan Stadium", "Crisler Center", "Yost Ice Arena")
 
 def build_corpus() -> Corpus:
     passages = [
-        Passage.from_text(
+        Passage(
             "football#0",
             "Football",
             "Michigan Stadium is the home stadium of the Michigan Wolverines "
             "football team. Michigan Wolverines fans fill Michigan Stadium in Ann Arbor.",
         ),
-        Passage.from_text(
+        Passage(
             "basketball#0",
             "Basketball",
             "Crisler Center is the home arena of the Michigan Wolverines basketball "
             "team. Michigan Wolverines basketball packs Crisler Center in Ann Arbor.",
         ),
-        Passage.from_text(
+        Passage(
             "hockey#0",
             "Hockey",
             "Yost Ice Arena is the home rink of the Michigan Wolverines hockey team. "
@@ -47,7 +47,7 @@ def build_corpus() -> Corpus:
     # redundant near-duplicates: heavy on query words, all about one answer
     for i in range(12):
         passages.append(
-            Passage.from_text(
+            Passage(
                 f"notes-{i:02d}#0",
                 f"notes {i:02d}",
                 "the home stadium of the michigan wolverines is the michigan stadium "

@@ -12,7 +12,7 @@ from qadb import Passage, StubBackend, assemble_longform_input, revise_iterative
 QUESTION = "where is the home stadium of michigan wolverines?"
 
 PASSAGES = {
-    "Michigan Stadium": Passage.from_text(
+    "Michigan Stadium": Passage(
         "football#0",
         "Football",
         "michigan wolverines men's football team plays at michigan stadium built "
@@ -20,7 +20,7 @@ PASSAGES = {
         "hundred thousand spectators on autumn saturdays when the team hosts "
         "rivals from across the conference in ann arbor",
     ),
-    "Crisler Center": Passage.from_text(
+    "Crisler Center": Passage(
         "basketball#0",
         "Basketball",
         "michigan wolverines men's basketball team fills crisler center every "
@@ -48,7 +48,7 @@ def main() -> None:
     print(f"  {assembled}\n")
 
     condition_words = sum(len(f"{a} {q}".split()) for a, q in conditions)
-    passage_words = sum(p.token_count for p in PASSAGES.values())
+    passage_words = sum(len(p.text.split()) for p in PASSAGES.values())
     print(
         f"the two conditions take {condition_words} words; pasting their source "
         f"passages instead would take {passage_words}"

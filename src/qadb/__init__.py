@@ -14,7 +14,6 @@ from .backend import (
 )
 from .construction import (
     CandidateQA,
-    DetectedAnswer,
     FunnelReport,
     PipelineConfig,
     Rejection,
@@ -67,7 +66,6 @@ __all__ = [
     "AnswerEntry",
     "CandidateQA",
     "Corpus",
-    "DetectedAnswer",
     "EvalExample",
     "EvalReport",
     "FunnelReport",

@@ -155,11 +155,15 @@ def cmd_retrieve(args) -> int:
     if config.retrieval_mode == "dense":
         embedder = retrieval.hashing_embedder(config.embedding_dim, config.seed)
     if config.retrieval_method == "direct":  # ranks passage texts; the database goes unread
+        if args.embeddings:
+            raise _CliError(2, "--embeddings holds question vectors; the direct method reads none")
         if not args.corpus:
             raise _CliError(2, "direct method needs --corpus to build the passage index")
         corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
         index = retrieval.build_passage_index(corpus, embedder, k1=config.bm25_k1, b=config.bm25_b)
     else:
+        if not args.db:
+            raise _CliError(2, f"the {config.retrieval_method} method needs --db")
         _require_file(args.db, "database")
         dense_vectors = None
         if args.embeddings:
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="rank passages for a query file")
     p.add_argument("--config", default=None)
-    p.add_argument("--db", required=True)
+    p.add_argument("--db", default=None, help="needed by the max and count methods")
     p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--corpus", default=None, help="needed for the direct baseline")

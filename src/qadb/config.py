@@ -58,15 +58,15 @@ class RunConfig:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+                raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in defaults:
-                raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ParseError(f"{path}: line {lineno}: unknown config key {key!r}")
             try:
                 values[key] = _coerce(value, defaults[key])
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
         return cls(**values)
 
     def to_dict(self) -> dict:

@@ -44,15 +44,6 @@ _QG_OUTPUT = re.compile(r"^answer:\s*(.*?)\s*question:\s*(.*)$", re.DOTALL)
 
 
 @dataclass(frozen=True)
-class DetectedAnswer:
-    """An answer span proposed from a passage; always a literal substring."""
-
-    passage_id: str
-    span: str
-    char_start: int
-
-
-@dataclass(frozen=True)
 class CandidateQA:
     passage_id: str
     answer: str
@@ -109,7 +100,7 @@ class FunnelReport:
         }
 
 
-def detect_answers(passage: Passage, backend: Backend, beam: int = DEFAULT_BEAM) -> list[DetectedAnswer]:
+def detect_answers(passage: Passage, backend: Backend, beam: int = DEFAULT_BEAM) -> list[str]:
     """Stage 1: propose answer spans from a passage.
 
     One backend call with beam decoding. Candidates that are not literal
@@ -129,12 +120,12 @@ def detect_answers(passage: Passage, backend: Backend, beam: int = DEFAULT_BEAM)
         if key in seen:
             continue
         seen.add(key)
-        detected.append(DetectedAnswer(passage.id, span, passage.text.find(span)))
+        detected.append(span)
     return detected
 
 
 def generate_question(
-    passage: Passage, answers: Sequence[DetectedAnswer], backend: Backend
+    passage: Passage, answers: Sequence[str], backend: Backend
 ) -> list[CandidateQA | Rejection]:
     """Stage 2: one greedily decoded question per detected answer, in one batch.
 
@@ -144,25 +135,25 @@ def generate_question(
     """
     responses = backend.generate_batch(
         [
-            GenerationRequest(question_generation_prompt(answer.span, passage.title, passage.text))
+            GenerationRequest(question_generation_prompt(answer, passage.title, passage.text))
             for answer in answers
         ]
     )
     return [_accept(passage, answer, r.candidates[0]) for answer, r in zip(answers, responses)]
 
 
-def _accept(passage: Passage, answer: DetectedAnswer, output: str) -> CandidateQA | Rejection:
+def _accept(passage: Passage, answer: str, output: str) -> CandidateQA | Rejection:
     match = _QG_OUTPUT.match(output)
     if not match:
-        return Rejection(passage.id, answer.span, REJECT_UNPARSEABLE)
+        return Rejection(passage.id, answer, REJECT_UNPARSEABLE)
     echoed, question = match.group(1).strip(), match.group(2).strip()
-    if normalize_answer(echoed) != normalize_answer(answer.span):
-        return Rejection(passage.id, answer.span, REJECT_ANSWER_MISMATCH)
+    if normalize_answer(echoed) != normalize_answer(answer):
+        return Rejection(passage.id, answer, REJECT_ANSWER_MISMATCH)
     if not question:
-        return Rejection(passage.id, answer.span, REJECT_EMPTY_QUESTION)
+        return Rejection(passage.id, answer, REJECT_EMPTY_QUESTION)
     if not question.endswith("?"):
         question += "?"
-    return CandidateQA(passage.id, answer.span, question, verified=False)
+    return CandidateQA(passage.id, answer, question, verified=False)
 
 
 def verify(passage: Passage, candidates: Sequence[CandidateQA], backend: Backend) -> list[bool]:

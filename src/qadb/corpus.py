@@ -1,7 +1,8 @@
 """Passage corpus: chunking, ingestion, serialization, and lookup.
 
-Tokenization throughout is plain Unicode-whitespace splitting, so token
-counts are deterministic and independent of any model vocabulary.
+A passage holds its id, its document title and its text, nothing else.
+Chunking splits on plain Unicode whitespace, so chunk boundaries are
+deterministic and independent of any model vocabulary.
 """
 
 from __future__ import annotations
@@ -22,20 +23,10 @@ class Passage:
     id: str
     title: str
     text: str
-    token_count: int
 
     def __post_init__(self) -> None:
-        if not self.text.split():
+        if not self.text or self.text.isspace():
             raise ValueError(f"passage {self.id!r} has empty text")
-        actual = len(self.text.split())
-        if self.token_count != actual:
-            raise ValueError(
-                f"passage {self.id!r}: token_count {self.token_count} != {actual}"
-            )
-
-    @classmethod
-    def from_text(cls, id: str, title: str, text: str) -> "Passage":
-        return cls(id=id, title=title, text=text, token_count=len(text.split()))
 
     def to_record(self) -> dict:
         return {"id": self.id, "title": self.title, "text": self.text}
@@ -93,11 +84,10 @@ def chunk_document(title: str, body: str, chunk_size: int = DEFAULT_CHUNK_SIZE) 
     tokens = body.split()
     if not tokens:
         raise EmptyDocument(f"document {title!r} is empty after whitespace normalization")
-    passages = []
-    for ordinal, start in enumerate(range(0, len(tokens), chunk_size)):
-        chunk = tokens[start : start + chunk_size]
-        passages.append(Passage.from_text(f"{title}#{ordinal}", title, " ".join(chunk)))
-    return passages
+    return [
+        Passage(f"{title}#{ordinal}", title, " ".join(tokens[start : start + chunk_size]))
+        for ordinal, start in enumerate(range(0, len(tokens), chunk_size))
+    ]
 
 
 def ingest_passages(lines: Iterable[str], source: str = "") -> Corpus:
@@ -118,7 +108,7 @@ def ingest_passages(lines: Iterable[str], source: str = "") -> Corpus:
         if not all(isinstance(v, str) for v in (pid, title, text)):
             raise ParseError(f"{prefix}line {lineno}: id/title/text must be strings")
         try:
-            passages.append(Passage.from_text(pid, title, text))
+            passages.append(Passage(pid, title, text))
         except ValueError as exc:
             raise ParseError(f"{prefix}line {lineno}: {exc}") from exc
     try:

@@ -185,11 +185,16 @@ class QADatabase:
                 f"{path}: format version {version} (this build reads {FORMAT_VERSION})"
             )
         questions = []
+        qids = set()
         for lineno, record in records:
             try:
+                qid = record["qid"]
+                if qid in qids:
+                    raise CorruptDatabase(f"{path}: line {lineno}: repeated qid {qid!r}")
+                qids.add(qid)
                 questions.append(
                     MergedQuestion(
-                        qid=record["qid"],
+                        qid=qid,
                         question=record["question"],
                         answers=tuple(
                             AnswerEntry(

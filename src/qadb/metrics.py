@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from . import jsonl
 from .backend import NOT_ANSWERABLE, GenerationRequest, reading_qa_prompt
-from .corpus import Passage
 from .errors import ContractViolation, ParseError
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
@@ -112,20 +111,17 @@ def str_em(candidate: str, gold_answers: Iterable[str]) -> float:
     return found / len(gold)
 
 
-def answer_recall_at_k(
-    retrieved: Sequence[Passage | str], gold_answers: Iterable[str], k: int
-) -> float:
-    """Fraction of gold answers mentioned in the concatenated top-k passage text.
+def answer_recall_at_k(retrieved: Sequence[str], gold_answers: Iterable[str], k: int) -> float:
+    """Fraction of gold answers mentioned in the concatenated top-k passage texts.
 
-    ``retrieved`` is a ranked sequence of passages (or raw passage texts).
+    ``retrieved`` is a ranked sequence of passage texts.
     """
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
     gold = list(gold_answers)
     if not gold:
         raise ContractViolation("answer_recall_at_k requires a non-empty gold answer set")
-    texts = [p.text if isinstance(p, Passage) else p for p in retrieved[:k]]
-    haystack = normalize_answer(" ".join(texts))
+    haystack = normalize_answer(" ".join(retrieved[:k]))
     found = sum(1 for answer in gold if normalize_answer(answer) in haystack)
     return found / len(gold)
 

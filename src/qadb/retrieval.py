@@ -139,6 +139,8 @@ class QuestionIndex:
         self.arrays = arrays  # an NpzFile reads a member each time it is indexed
         self.keys, self.rank = arrays["keys"], arrays["rank"]
         self.row_of = dict(zip(self.keys.tolist(), range(len(self.keys))))
+        if len(self.row_of) < len(self.keys):
+            raise ValueError(f"{len(self.keys)} keys, of which {len(self.row_of)} distinct")
         # Python lists: aggregation reads a few items of each per hit
         self.passages, self.passage_offsets, self.passage_cols = (
             arrays[name].tolist() for name in ("passages", "passage_offsets", "passage_cols"))

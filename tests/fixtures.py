@@ -93,7 +93,7 @@ def make_toy_corpus(n: int = 20) -> Corpus:
             f"{name} {verb} in {year} and quickly became a landmark. "
             f"Visitors praised {name} for its unusual design."
         )
-        passages.append(Passage.from_text(f"doc-{i:02d}#0", f"Doc {i:02d}", text))
+        passages.append(Passage(f"doc-{i:02d}#0", f"Doc {i:02d}", text))
     return Corpus(passages)
 
 
@@ -110,21 +110,21 @@ def make_diversity_corpus() -> Corpus:
     to the generated-question index.
     """
     passages = [
-        Passage.from_text(
+        Passage(
             "venue-football#0",
             "Football",
             "Michigan Stadium is the home stadium of the Michigan Wolverines "
             "football team. Michigan Wolverines fans fill Michigan Stadium on "
             "football saturdays in Ann Arbor.",
         ),
-        Passage.from_text(
+        Passage(
             "venue-basketball#0",
             "Basketball",
             "Crisler Center is the home arena of the Michigan Wolverines "
             "basketball team. Michigan Wolverines basketball games pack "
             "Crisler Center in Ann Arbor.",
         ),
-        Passage.from_text(
+        Passage(
             "venue-hockey#0",
             "Hockey",
             "Yost Ice Arena is the home rink of the Michigan Wolverines hockey "
@@ -133,7 +133,7 @@ def make_diversity_corpus() -> Corpus:
     ]
     for i in range(20):
         passages.append(
-            Passage.from_text(
+            Passage(
                 f"redundant-{i:02d}#0",
                 f"notes {i:02d}",
                 "the home stadium of the michigan wolverines is the michigan "
@@ -151,7 +151,7 @@ def make_diversity_corpus() -> Corpus:
         ("filler-06#0", "Canyons", "Grand Canyon cuts Arizona and Grand Canyon is vast."),
     ]
     for pid, title, text in fillers:
-        passages.append(Passage.from_text(pid, title, text))
+        passages.append(Passage(pid, title, text))
     return Corpus(passages)
 
 

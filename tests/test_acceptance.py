@@ -239,7 +239,7 @@ def test_criterion_8_revision_contract():
     """<=2 rounds by default, fixpoint stop, detail accumulates round over round."""
     from qadb.corpus import Passage
 
-    passage = Passage.from_text(
+    passage = Passage(
         "venue#0",
         "Football",
         "michigan wolverines men's football team built in 1927 remains famous",
@@ -254,7 +254,7 @@ def test_criterion_8_revision_contract():
     assert round1_added  # round 1 adds discriminating info
     assert round1_added < round2_added  # round 2 keeps it and adds more
 
-    fixpoint_passage = Passage.from_text(
+    fixpoint_passage = Passage(
         "fix#0", "T", "the home stadium of michigan wolverines football"
     )
     fixed = revise_iterative(

@@ -248,15 +248,48 @@ def test_retrieve_direct_reads_only_the_corpus(tmp_path):
     assert _retrieve(tmp_path, junk, "junk.jsonl", *extra, config=config) == 0
     assert (tmp_path / "junk.jsonl").read_bytes() == (tmp_path / "results.jsonl").read_bytes()
     assert not (tmp_path / "junk.qadb.index.npz").exists()
+    no_db = ["retrieve", "--config", str(config), "--queries", str(DATA / "queries.jsonl"),
+             "--out", str(tmp_path / "no_db.jsonl"), *extra]
+    assert main(no_db) == 0
+    assert (tmp_path / "no_db.jsonl").read_bytes() == (tmp_path / "results.jsonl").read_bytes()
+
+
+def test_retrieve_direct_refuses_embeddings(tmp_path, capsys):
+    config = tmp_path / "direct.txt"
+    config.write_text("retrieval_method = direct\n")
+    extra = ["--corpus", str(DATA / "corpus.jsonl"), "--embeddings", str(tmp_path / "q.qvec")]
+    assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl", *extra, config=config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --embeddings") and err.count("\n") == 1
+    assert not (tmp_path / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("method", ["max", "count"])
+def test_retrieve_over_questions_without_db_exits_2(tmp_path, capsys, method):
+    config = tmp_path / "run.txt"
+    config.write_text(f"retrieval_method = {method}\n")
+    code = main(
+        [
+            "retrieve",
+            "--config", str(config),
+            "--queries", str(DATA / "queries.jsonl"),
+            "--out", str(tmp_path / "results.jsonl"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: the {method} method needs --db\n"
 
 
 def _bad_database(tmp_path, case):
-    """The fixture database with a record missing, a line of invalid JSON, or version 9."""
+    """The fixture database with a record missing, a line of invalid JSON, the
+    first qid repeated, or version 9."""
     lines = (DATA / "fixture.qadb").read_text().splitlines(keepends=True)
     if case.endswith("short_db"):
         lines = lines[:-1]
     elif case.endswith("invalid_json_db"):
         lines[2] = "{not json\n"
+    elif case.endswith("repeated_qid_db"):
+        lines[2] = json.dumps({**json.loads(lines[2]), "qid": json.loads(lines[1])["qid"]}) + "\n"
     else:
         lines[0] = json.dumps({**json.loads(lines[0]), "version": 9}) + "\n"
     path = tmp_path / "bad.qadb"
@@ -268,8 +301,9 @@ def _bad_database(tmp_path, case):
     "case",
     [
         "bad_embeddings", "number_query", "non_string_question",
-        "short_db", "invalid_json_db", "version_9_db",
-        "coverage_short_db", "coverage_invalid_json_db", "coverage_version_9_db",
+        "short_db", "invalid_json_db", "repeated_qid_db", "version_9_db",
+        "coverage_short_db", "coverage_invalid_json_db", "coverage_repeated_qid_db",
+        "coverage_version_9_db",
         "few_embeddings", "narrow_embeddings",
     ],
 )
@@ -311,6 +345,8 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert str(named) in err
     if case in ("few_embeddings", "narrow_embeddings"):
         assert "--embeddings" in err
+    if case.endswith("repeated_qid_db"):
+        assert f"{named}: line 3: repeated qid 0" in err
 
 
 def _run_reading(role, path, tmp_path):
@@ -360,6 +396,13 @@ def test_parse_errors_name_file_and_line(tmp_path, capsys, role, record):
     assert _run_reading(role, path, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line 2: invalid JSON") and err.count("\n") == 1
+
+
+def test_unknown_config_key_exits_2_naming_file_and_line(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# comment\ntop_n = 5\ncolour = blue\n")
+    assert _run_reading("config", config, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {config}: line 3: unknown config key 'colour'\n"
 
 
 def test_repeated_passage_id_exits_2_naming_file_and_id(tmp_path, capsys):

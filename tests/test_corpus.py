@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,14 +11,14 @@ from qadb.errors import DuplicateId, EmptyDocument, ParseError
 def test_chunk_250_tokens_into_100s():
     body = " ".join(f"tok{i}" for i in range(250))
     chunks = chunk_document("X", body, 100)
-    assert [c.token_count for c in chunks] == [100, 100, 50]
+    assert [len(c.text.split()) for c in chunks] == [100, 100, 50]
 
 
 def test_chunk_exact_fit():
     body = " ".join(f"tok{i}" for i in range(100))
     chunks = chunk_document("X", body, 100)
     assert len(chunks) == 1
-    assert chunks[0].token_count == 100
+    assert len(chunks[0].text.split()) == 100
 
 
 def test_chunk_ids_and_texts():
@@ -44,15 +45,17 @@ def test_chunking_preserves_token_sequence(tokens, chunk_size):
     chunks = chunk_document("Doc", " ".join(tokens), chunk_size)
     rejoined = [tok for c in chunks for tok in c.text.split()]
     assert rejoined == tokens
-    assert all(c.token_count == chunk_size for c in chunks[:-1])
-    assert 1 <= chunks[-1].token_count <= chunk_size
+    assert all(len(c.text.split()) == chunk_size for c in chunks[:-1])
+    assert 1 <= len(chunks[-1].text.split()) <= chunk_size
 
 
-def test_passage_validates_token_count():
-    with pytest.raises(ValueError):
-        Passage(id="p", title="t", text="two tokens", token_count=3)
-    with pytest.raises(ValueError):
-        Passage(id="p", title="t", text="   ", token_count=0)
+def test_passage_rejects_empty_text():
+    whitespace = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    for text in ["", "   ", "".join(whitespace), *whitespace]:
+        with pytest.raises(ValueError, match="empty text"):
+            Passage(id="p", title="t", text=text)
+    for text in ["\u200b", "\ufeff", " x "]:  # zero-width space and BOM are not whitespace
+        assert Passage(id="p", title="t", text=text).text == text
 
 
 def _lines(*records):
@@ -68,7 +71,7 @@ def test_ingest_three_records():
         )
     )
     assert len(corpus) == 3
-    assert corpus["p3"].token_count == 3
+    assert len(corpus["p3"].text.split()) == 3
     assert corpus.ids == ["p1", "p2", "p3"]
 
 

@@ -1,10 +1,18 @@
 import random
+import re
 
 import pytest
 
 from fixtures import build_db, random_database, rec
 
-from qadb.database import FORMAT_VERSION, QADatabase, merge_questions, question_merge_key
+from qadb.database import (
+    FORMAT_VERSION,
+    AnswerEntry,
+    MergedQuestion,
+    QADatabase,
+    merge_questions,
+    question_merge_key,
+)
 from qadb.errors import ContractViolation, CorruptDatabase, FormatVersionError
 from qadb.metrics import EvalExample
 
@@ -129,6 +137,19 @@ def test_load_garbage_header(tmp_path):
     path = tmp_path / "garbage.jsonl"
     path.write_text("garbage\n")
     with pytest.raises(CorruptDatabase):
+        QADatabase.load(path)
+
+
+def test_load_rejects_a_repeated_qid(tmp_path):
+    # two questions under qid 0, saved with a count and stats that agree with them
+    path = tmp_path / "repeated.jsonl"
+    QADatabase(
+        [
+            MergedQuestion(0, "where is the stadium?", (AnswerEntry("Michigan Stadium", ("a",), 1),)),
+            MergedQuestion(0, "where is the arena?", (AnswerEntry("Crisler Center", ("b",), 1),)),
+        ]
+    ).save(path)
+    with pytest.raises(CorruptDatabase, match=re.escape(f"{path}: line 3: repeated qid 0")):
         QADatabase.load(path)
 
 

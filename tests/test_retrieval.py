@@ -89,6 +89,19 @@ def test_index_arrays_rejects_sources_of_another_length():
         index_arrays([1, 2], ["a b", "c"], [{"p1"}], k1=DEFAULT_K1, b=DEFAULT_B)
 
 
+def test_question_index_rejects_repeated_keys():
+    with pytest.raises(ValueError, match="2 keys, of which 1 distinct"):
+        QuestionIndex(_arrays([0, 0], ["where is the stadium?", "where is the arena?"]))
+    db = QADatabase(
+        [
+            MergedQuestion(0, "where is the stadium?", (AnswerEntry("Michigan Stadium", ("a",), 1),)),
+            MergedQuestion(0, "where is the arena?", (AnswerEntry("Crisler Center", ("b",), 1),)),
+        ]
+    )
+    with pytest.raises(ValueError, match="2 keys, of which 1 distinct"):
+        build_index(db)
+
+
 def test_build_index_mixed_dims_rejected():
     calls = {"n": 0}
 
@@ -373,8 +386,8 @@ def test_retrieve_passages_max_single_hit_returns_its_provenance():
 def test_retrieve_passages_direct_ranks_passages():
     corpus = Corpus(
         [
-            Passage.from_text("p1", "T1", "michigan stadium hosts football"),
-            Passage.from_text("p2", "T2", "crisler center hosts basketball"),
+            Passage("p1", "T1", "michigan stadium hosts football"),
+            Passage("p2", "T2", "crisler center hosts basketball"),
         ]
     )
     pindex = build_passage_index(corpus)

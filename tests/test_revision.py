@@ -11,7 +11,7 @@ STUB = StubBackend()
 
 
 def _passage(text, pid="p1#0"):
-    return Passage.from_text(pid, "Title", text)
+    return Passage(pid, "Title", text)
 
 
 # ------------------------------------------------------------- revise_once
@@ -160,7 +160,7 @@ _WORDS = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
     other_conditions=st.lists(st.tuples(_WORDS, _WORDS), max_size=3),
 )
 def test_assembly_injective_over_word_inputs(question, conditions, other_conditions):
-    passage = Passage.from_text("p#0", "T", "fixed text")
+    passage = Passage("p#0", "T", "fixed text")
     left = assemble_longform_input(question, conditions, [passage])
     right = assemble_longform_input(question, other_conditions, [passage])
     if conditions != other_conditions:
