@@ -21,11 +21,8 @@ from .backend import Backend, RemoteBackend, StubBackend
 from .config import RunConfig
 from .corpus import load_corpus
 from .database import QADatabase
-from .errors import ContractViolation, DuplicateId, EmbeddingDimMismatch, ModeUnavailable
-from .errors import ParseError, QADBError
+from .errors import ContractViolation, DuplicateId, EmbeddingDimMismatch, ParseError, QADBError
 from .metrics import evaluate_longform, evaluate_retrieval_recall, load_examples
-
-LOCK_NAME = ".qadb.lock"
 
 
 class _CliError(Exception):
@@ -43,32 +40,18 @@ def _require_file(path: str, role: str) -> Path:
 
 @contextmanager
 def _output_lock(directory: Path):
-    """One process per output directory; a lock left by a dead process is taken over."""
+    """One run at a time writes into ``directory``: an exclusive flock on it, held until
+    the block ends. The kernel drops it when the process exits, however it dies."""
     directory.mkdir(parents=True, exist_ok=True)
-    lock = directory / LOCK_NAME
-    dir_fd = os.open(directory, os.O_RDONLY)
+    fd = os.open(directory, os.O_RDONLY)
     try:
-        # An exclusive flock on the directory, released by closing it, keeps
-        # two runs that both find a stale lock from both taking it over.
-        fcntl.flock(dir_fd, fcntl.LOCK_EX)
         try:
-            os.kill(int(lock.read_text(encoding="utf-8")), 0)
-        except (FileNotFoundError, ProcessLookupError):  # no lock, or its owner died
-            lock.unlink(missing_ok=True)
-        except (OSError, ValueError):  # unreadable, or alive under another user
-            pass
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise _CliError(1, f"output directory is locked by another run: {lock}") from None
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
-    finally:
-        os.close(dir_fd)
-    try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise _CliError(1, f"output directory is locked by another run: {directory}") from None
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _load_config(args) -> RunConfig:
@@ -82,18 +65,13 @@ def _make_backend(config: RunConfig) -> Backend:
     return RemoteBackend(config.backend_endpoint) if config.backend_endpoint else StubBackend()
 
 
-def _read_jsonl(path: str, role: str, fields: dict[str, type | tuple[type, ...]]) -> list[dict]:
-    """An input file's records, after an optional header line; each must
-    carry ``fields`` with values of the given types."""
-    rows = []
-    for lineno, row in jsonl.read(_require_file(path, role)):
-        if "header" in row and lineno == 1:
-            continue
-        bad = [key for key, kind in fields.items() if not isinstance(row.get(key), kind)]
-        if bad:
-            raise ParseError(f"{path}: line {lineno}: missing or mistyped fields {bad}")
-        rows.append(row)
-    return rows
+def _read_jsonl(path: str, role: str, shape: dict) -> list[dict]:
+    """An input file's records of the given shape, after an optional header line."""
+    return [
+        jsonl.check(row, shape, path, lineno)
+        for lineno, row in jsonl.read(_require_file(path, role))
+        if not (lineno == 1 and "header" in row)
+    ]
 
 
 def _load_gold(path: str) -> list:
@@ -183,17 +161,14 @@ def cmd_retrieve(args) -> int:
 
     rows = []
     for query in queries:
-        try:
-            scored = retrieval.retrieve_passages(
-                index,
-                query["question"],
-                method=config.retrieval_method,
-                top_n=config.top_n,
-                mode=config.retrieval_mode,
-                k_questions=config.k_questions,
-            )
-        except ModeUnavailable as exc:
-            raise _CliError(2, str(exc)) from exc
+        scored = retrieval.retrieve_passages(
+            index,
+            query["question"],
+            method=config.retrieval_method,
+            top_n=config.top_n,
+            mode=config.retrieval_mode,
+            k_questions=config.k_questions,
+        )
         for rank, ps in enumerate(scored, start=1):
             rows.append(
                 {

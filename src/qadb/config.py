@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import ParseError
 
 ENDPOINT_ENV_VAR = "QADB_BACKEND_ENDPOINT"
+_AT_LEAST_ONE = {"k_questions", "top_n", "embedding_dim", "beam", "max_revision_rounds"}
 
 
 @dataclass
@@ -65,6 +66,8 @@ class RunConfig:
                 raise ParseError(f"{path}: line {lineno}: unknown config key {key!r}")
             try:
                 values[key] = _coerce(value, defaults[key])
+                if key in _AT_LEAST_ONE and values[key] < 1:
+                    raise ValueError(f"{key} must be >= 1")
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
         return cls(**values)

@@ -192,7 +192,13 @@ def _process_passage(passage: Passage, backend: Backend, beam: int) -> dict:
     }
 
 
-_ROW_KEYS = {"passage_id", "detected", "generated", "verified", "rejections", "records"}
+_ROW = {"passage_id": str, "detected": int, "generated": int, "verified": int, "rejections": dict,
+        "records": [{"passage_id": str, "answer": str, "question": str, "verified": bool}]}
+
+
+def _verified(row: dict) -> list[CandidateQA]:
+    return [CandidateQA(qa["passage_id"], qa["answer"], qa["question"], qa["verified"])
+            for qa in row["records"] if qa["verified"]]
 
 
 def build_database(
@@ -211,10 +217,15 @@ def build_database(
     path = config.checkpoint_path
     entries, log = jsonl.open_log(path) if path else ([], nullcontext())
     with log:
-        rows = []
+        rows, verified = [], []
         for lineno, row in entries:
-            if row.keys() != _ROW_KEYS or row["passage_id"] not in corpus:
+            jsonl.check(row, _ROW, path, lineno)
+            if row.keys() != _ROW.keys() or row["passage_id"] not in corpus:
                 raise ParseError(f"{path}: line {lineno}: not a checkpoint row of this corpus")
+            try:
+                verified += _verified(row)
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
             rows.append(row)
         done = {row["passage_id"] for row in rows}
         pending = [p for p in corpus if p.id not in done]
@@ -222,6 +233,7 @@ def build_database(
         for passage in pending:
             row = _process_passage(passage, backend, config.beam)
             rows.append(row)
+            verified += _verified(row)
             if path:
                 log.write(jsonl.dumps(row) + "\n")
                 log.flush()
@@ -233,9 +245,7 @@ def build_database(
         report.generated += row["generated"]
         report.verified += row["verified"]
         rejections.update(row["rejections"])
-    db = merge_questions(
-        CandidateQA(**record) for row in rows for record in row["records"] if record["verified"]
-    )
+    db = merge_questions(verified)
     report.unique_questions = len(db)
     report.rejections = dict(rejections)
     return db, report

@@ -14,6 +14,7 @@ from . import jsonl
 from .errors import DuplicateId, EmptyDocument, ParseError
 
 DEFAULT_CHUNK_SIZE = 100
+_PASSAGE = {"id": str, "title": str, "text": str}
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,9 @@ def ingest_passages(lines: Iterable[str], source: str = "") -> Corpus:
     prefix = f"{source}: " if source else ""
     passages = []
     for lineno, record in jsonl.parse_lines(lines, source):
+        jsonl.check(record, _PASSAGE, source, lineno)
         try:
-            pid, title, text = record["id"], record["title"], record["text"]
-        except KeyError as exc:
-            raise ParseError(f"{prefix}line {lineno}: missing field {exc}") from exc
-        if not all(isinstance(v, str) for v in (pid, title, text)):
-            raise ParseError(f"{prefix}line {lineno}: id/title/text must be strings")
-        try:
-            passages.append(Passage(pid, title, text))
+            passages.append(Passage(record["id"], record["title"], record["text"]))
         except ValueError as exc:
             raise ParseError(f"{prefix}line {lineno}: {exc}") from exc
     try:

@@ -26,6 +26,9 @@ FORMAT_VERSION = 1
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
+_QUESTION = {"qid": int, "question": str,
+             "answers": [{"text": str, "passage_ids": [str], "mentions": int}]}
+
 
 def question_merge_key(question: str) -> str:
     """Merge key for question text: lowercase, strip punctuation, collapse spaces."""
@@ -187,27 +190,14 @@ class QADatabase:
         questions = []
         qids = set()
         for lineno, record in records:
-            try:
-                qid = record["qid"]
-                if qid in qids:
-                    raise CorruptDatabase(f"{path}: line {lineno}: repeated qid {qid!r}")
-                qids.add(qid)
-                questions.append(
-                    MergedQuestion(
-                        qid=qid,
-                        question=record["question"],
-                        answers=tuple(
-                            AnswerEntry(
-                                text=entry["text"],
-                                passage_ids=tuple(entry["passage_ids"]),
-                                mentions=entry["mentions"],
-                            )
-                            for entry in record["answers"]
-                        ),
-                    )
-                )
-            except (KeyError, TypeError) as exc:
-                raise CorruptDatabase(f"{path}: line {lineno}: bad record: {exc}") from exc
+            jsonl.check(record, _QUESTION, path, lineno, CorruptDatabase)
+            qid = record["qid"]
+            if qid in qids:
+                raise CorruptDatabase(f"{path}: line {lineno}: repeated qid {qid!r}")
+            qids.add(qid)
+            answers = (AnswerEntry(entry["text"], tuple(entry["passage_ids"]), entry["mentions"])
+                       for entry in record["answers"])
+            questions.append(MergedQuestion(qid, record["question"], tuple(answers)))
         expected = header.get("question_count", 0)
         if len(questions) != expected:
             raise CorruptDatabase(

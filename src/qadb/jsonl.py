@@ -3,7 +3,8 @@
 One JSON object per line, with sorted keys and raw UTF-8, so reruns write
 identical bytes. Whole files, the binary retrieval image too, are replaced
 atomically; an append-only log drops a last line torn by a crash when it
-is reopened.
+is reopened. A reader states the shape of its records, and ``check``
+refuses a record of another shape, naming its line and field.
 """
 
 from __future__ import annotations
@@ -47,6 +48,25 @@ def parse_lines(
             yield lineno, record
     except UnicodeDecodeError as exc:
         raise error(f"{prefix}not UTF-8 text ({exc.reason})") from exc
+
+
+def fits(value, shape) -> bool:
+    """Whether ``value`` has ``shape``: a type or tuple of types, ``[shape]`` for
+    an array of such values, or ``{key: shape}`` for an object with such keys."""
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(fits(item, shape[0]) for item in value)
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(fits(value.get(k), s) for k, s in shape.items())
+    return isinstance(value, shape)
+
+
+def check(record: dict, shape: dict, source, lineno: int, error=ParseError) -> dict:
+    """``record`` if it has ``shape``, else ``error`` names the line and its first bad field."""
+    for key, kind in shape.items():
+        if not fits(record.get(key), kind):
+            where = f"{source}: line {lineno}" if source else f"line {lineno}"
+            raise error(f"{where}: missing or mistyped field {key!r}")
+    return record
 
 
 def read(

@@ -222,6 +222,10 @@ class EvalExample:
         return len(unique) >= 2
 
 
+_EXAMPLE = {"query_id": (str, int), "question": str, "gold_answers": [str],
+            "disambiguations": [[str]], "gold_long_answers": [str]}
+
+
 def load_examples(lines: Iterable[str], source: str = "") -> list[EvalExample]:
     """Parse line-delimited JSON gold records into EvalExamples.
 
@@ -230,19 +234,19 @@ def load_examples(lines: Iterable[str], source: str = "") -> list[EvalExample]:
     prefix = f"{source}: " if source else ""
     examples = []
     for lineno, record in jsonl.parse_lines(lines, source):
+        record = {"question": "", "disambiguations": [], "gold_long_answers": [], **record}
+        jsonl.check(record, _EXAMPLE, source, lineno)
         try:
             examples.append(
                 EvalExample(
                     query_id=str(record["query_id"]),
-                    question=record.get("question", ""),
+                    question=record["question"],
                     gold_answers=tuple(record["gold_answers"]),
-                    disambiguations=tuple(
-                        (q, a) for q, a in record.get("disambiguations", [])
-                    ),
-                    gold_long_answers=tuple(record.get("gold_long_answers", [])),
+                    disambiguations=tuple((q, a) for q, a in record["disambiguations"]),
+                    gold_long_answers=tuple(record["gold_long_answers"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:  # no gold answers, or a disambiguation that is not a pair
             raise ParseError(f"{prefix}line {lineno}: {exc}") from exc
     return examples
 

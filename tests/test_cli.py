@@ -1,12 +1,13 @@
 import http.server
 import json
 import math
-import os
 import shutil
+import signal
 import socket
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,71 @@ def test_repeated_passage_id_exits_2_naming_file_and_id(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {corpus}: duplicate passage id 'a#0'\n"
 
 
+def _edited_fixture_db(tmp_path, edit):
+    """The fixture database with ``edit`` applied to its first question record."""
+    header, first, *rest = (DATA / "fixture.qadb").read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    edit(record)
+    path = tmp_path / "edited.qadb"
+    path.write_text("".join([header, json.dumps(record) + "\n", *rest]))
+    return path
+
+
+@pytest.mark.parametrize(
+    ("field", "edit"),
+    [
+        ("qid", lambda record: record.update(qid=str(record["qid"] + 1))),  # beside the int qid 1
+        ("answers", lambda record: record["answers"][0].update(passage_ids="venue-football#0")),
+    ],
+    ids=["mixed_qid_types", "passage_ids_string"],
+)
+def test_mistyped_database_record_exits_2_naming_file_line_and_field(tmp_path, capsys, field, edit):
+    db = _edited_fixture_db(tmp_path, edit)
+    code = main(["retrieve", "--db", str(db), "--queries", str(DATA / "queries.jsonl"),
+                 "--out", str(tmp_path / "r.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {db}: line 2: missing or mistyped field {field!r}\n"
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_gold_answers_that_are_a_string_exit_2(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"query_id": "amb-2", "gold_answers": "Crisler Center"}) + "\n")
+    code = main(["eval", "--task", "retrieval", "--results",
+                 str(DATA / "golden_retrieve_count.jsonl"), "--gold", str(gold),
+                 "--corpus", str(DATA / "corpus.jsonl"), "--report", str(tmp_path / "e.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {gold}: line 1: missing or mistyped field 'gold_answers'\n"
+    )
+
+
+def test_checkpoint_question_without_question_mark_exits_2(tmp_path, capsys):
+    args = ["build-db", "--corpus", str(DATA / "corpus.jsonl"), "--db", str(tmp_path / "o.qadb"),
+            "--checkpoint", str(tmp_path / "run.ckpt")]
+    assert main(args) == 0
+    first, *rest = (tmp_path / "run.ckpt").read_text().splitlines(keepends=True)
+    row = json.loads(first)
+    row["records"][0]["question"] = row["records"][0]["question"].rstrip("?")
+    (tmp_path / "run.ckpt").write_text(json.dumps(row) + "\n" + "".join(rest))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run.ckpt'}: line 1: candidate question must end")
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("top_n", -1), ("k_questions", 0), ("beam", 0), ("max_revision_rounds", 0),
+     ("embedding_dim", 0)],
+)
+def test_config_value_below_one_exits_2(tmp_path, capsys, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed = 3\n{key} = {value}\n")
+    assert _run_reading("config", config, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {config}: line 2: {key} must be >= 1\n"
+
+
 # ------------------------------------------------------------- eval
 
 
@@ -651,44 +717,64 @@ def test_coverage_command(tmp_path, capsys):
 # ------------------------------------------------------------- plumbing
 
 
+def _retrieve_into(tmp_path, outdir):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("")
+    return main(
+        [
+            "retrieve",
+            "--db", _db(tmp_path),
+            "--queries", str(queries),
+            "--out", str(outdir / "r.jsonl"),
+        ]
+    )
+
+
+@contextmanager
+def _flock_held_by_child(directory):
+    """A child process that holds ``directory``'s flock, as a running command does."""
+    hold = (
+        "import fcntl, os, sys, time\n"
+        "fcntl.flock(os.open(sys.argv[1], os.O_RDONLY), fcntl.LOCK_EX)\n"
+        "print('held', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", hold, str(directory)], stdout=subprocess.PIPE, text=True
+    ) as child:
+        try:
+            assert child.stdout.readline() == "held\n"
+            yield child
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+
+
 def test_output_lock_blocks_second_run(tmp_path, capsys):
-    queries = tmp_path / "queries.jsonl"
-    queries.write_text("")
     outdir = tmp_path / "outputs"
     outdir.mkdir()
-    (outdir / ".qadb.lock").write_text(f"{os.getpid()}\n")  # a live owner
-    code = main(
-        [
-            "retrieve",
-            "--db", _db(tmp_path),
-            "--queries", str(queries),
-            "--out", str(outdir / "r.jsonl"),
-        ]
-    )
-    assert code == 1
+    with _flock_held_by_child(outdir):
+        assert _retrieve_into(tmp_path, outdir) == 1
     assert "locked" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
 
 
-def test_output_lock_of_dead_process_is_taken_over(tmp_path):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    queries = tmp_path / "queries.jsonl"
-    queries.write_text("")
+def test_output_lock_of_killed_run_does_not_block(tmp_path):
     outdir = tmp_path / "outputs"
     outdir.mkdir()
-    lock = outdir / ".qadb.lock"
-    lock.write_text(f"{child.pid}\n")
-    code = main(
-        [
-            "retrieve",
-            "--db", _db(tmp_path),
-            "--queries", str(queries),
-            "--out", str(outdir / "r.jsonl"),
-        ]
-    )
-    assert code == 0
+    with _flock_held_by_child(outdir) as child:
+        child.kill()
+        assert child.wait(timeout=10) == -signal.SIGKILL
+        assert _retrieve_into(tmp_path, outdir) == 0
+    assert [p.name for p in outdir.iterdir()] == ["r.jsonl"]  # and no lock file
+
+
+def test_pid_lock_file_of_earlier_versions_does_not_block(tmp_path):
+    outdir = tmp_path / "outputs"
+    outdir.mkdir()
+    (outdir / ".qadb.lock").write_text("")  # as a run killed between create and write left it
+    assert _retrieve_into(tmp_path, outdir) == 0
     assert (outdir / "r.jsonl").exists()
-    assert not lock.exists()
 
 
 class _StubServer(http.server.BaseHTTPRequestHandler):

@@ -104,7 +104,7 @@ def test_ingest_missing_field_reports_line_number():
     with pytest.raises(ParseError) as excinfo:
         ingest_passages(_lines({"id": "p1", "title": "A"}))
     assert "line 1" in str(excinfo.value)
-    with pytest.raises(ParseError, match="^c.jsonl: line 1: missing field 'text'"):
+    with pytest.raises(ParseError, match="^c.jsonl: line 1: missing or mistyped field 'text'"):
         ingest_passages(_lines({"id": "p1", "title": "A"}), "c.jsonl")
 
 

@@ -305,5 +305,5 @@ def test_load_examples_parses_records():
 
 def test_load_examples_errors_name_source_and_line():
     lines = ['{"query_id": "q1", "gold_answers": ["a"]}', '{"query_id": "q2"}']
-    with pytest.raises(ParseError, match="^gold.jsonl: line 2: 'gold_answers'"):
+    with pytest.raises(ParseError, match="^gold.jsonl: line 2: missing or mistyped field 'gold_answers'"):
         load_examples(lines, "gold.jsonl")
