@@ -40,38 +40,35 @@ class Corpus:
     """
 
     def __init__(self, passages: Iterable[Passage] = ()):
-        self._passages: list[Passage] = []
-        self._by_id: dict[str, int] = {}
+        self._passages: dict[str, Passage] = {}  # by id, in ingestion order
         for passage in passages:
-            if passage.id in self._by_id:
+            if passage.id in self._passages:
                 raise DuplicateId(f"duplicate passage id {passage.id!r}")
-            self._by_id[passage.id] = len(self._passages)
-            self._passages.append(passage)
+            self._passages[passage.id] = passage
 
     def __len__(self) -> int:
         return len(self._passages)
 
     def __iter__(self) -> Iterator[Passage]:
-        return iter(self._passages)
+        return iter(self._passages.values())
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._by_id
+        return passage_id in self._passages
 
     def __getitem__(self, passage_id: str) -> Passage:
-        return self._passages[self._by_id[passage_id]]
+        return self._passages[passage_id]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return self._passages == other._passages
+        return list(self) == list(other)
 
     def get(self, passage_id: str, default: Passage | None = None) -> Passage | None:
-        idx = self._by_id.get(passage_id)
-        return default if idx is None else self._passages[idx]
+        return self._passages.get(passage_id, default)
 
     @property
     def ids(self) -> list[str]:
-        return [p.id for p in self._passages]
+        return list(self._passages)
 
 
 def chunk_document(title: str, body: str, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[Passage]:

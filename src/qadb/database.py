@@ -188,13 +188,14 @@ class QADatabase:
                 f"{path}: format version {version} (this build reads {FORMAT_VERSION})"
             )
         questions = []
-        qids = set()
         for lineno, record in records:
             jsonl.check(record, _QUESTION, path, lineno, CorruptDatabase)
             qid = record["qid"]
-            if qid in qids:
-                raise CorruptDatabase(f"{path}: line {lineno}: repeated qid {qid!r}")
-            qids.add(qid)
+            if questions and qid <= questions[-1].qid:
+                raise CorruptDatabase(f"{path}: line {lineno}: qid {qid} after "
+                                      f"{questions[-1].qid}; qids must ascend")
+            if not all(entry["passage_ids"] for entry in record["answers"]):
+                raise CorruptDatabase(f"{path}: line {lineno}: an answer without passage_ids")
             answers = (AnswerEntry(entry["text"], tuple(entry["passage_ids"]), entry["mentions"])
                        for entry in record["answers"])
             questions.append(MergedQuestion(qid, record["question"], tuple(answers)))

@@ -57,7 +57,7 @@ def fits(value, shape) -> bool:
         return isinstance(value, list) and all(fits(item, shape[0]) for item in value)
     if isinstance(shape, dict):
         return isinstance(value, dict) and all(fits(value.get(k), s) for k, s in shape.items())
-    return isinstance(value, shape)
+    return isinstance(value, shape) and (shape is bool or not isinstance(value, bool))
 
 
 def check(record: dict, shape: dict, source, lineno: int, error=ParseError) -> dict:

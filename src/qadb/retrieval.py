@@ -35,7 +35,7 @@ from .errors import EmbeddingDimMismatch, ModeUnavailable
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 DEFAULT_QUESTION_FETCH = 50
-IMAGE_VERSION = 1  # bump when tokenize() or the arrays of QuestionIndex change
+IMAGE_VERSION = 2  # bump when tokenize() or the arrays of QuestionIndex change
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -130,17 +130,14 @@ class QuestionIndex:
     Built over generated questions for indirect retrieval, and reused
     over passage texts for the direct baseline. It runs from ``arrays``
     alone, made by ``index_arrays`` or loaded by ``open_index``; the BM25
-    arrays are read at the first sparse query. Entry i credits
+    arrays are read at the first sparse query. Row i, the i-th smallest key, credits
     ``passages[passage_cols[passage_offsets[i]:passage_offsets[i + 1]]]``.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray], embedder: Embedder | None = None, *,
                  dense_vectors: np.ndarray | None = None):
         self.arrays = arrays  # an NpzFile reads a member each time it is indexed
-        self.keys, self.rank = arrays["keys"], arrays["rank"]
-        self.row_of = dict(zip(self.keys.tolist(), range(len(self.keys))))
-        if len(self.row_of) < len(self.keys):
-            raise ValueError(f"{len(self.keys)} keys, of which {len(self.row_of)} distinct")
+        self.keys = arrays["keys"]
         # Python lists: aggregation reads a few items of each per hit
         self.passages, self.passage_offsets, self.passage_cols = (
             arrays[name].tolist() for name in ("passages", "passage_offsets", "passage_cols"))
@@ -174,20 +171,20 @@ class QuestionIndex:
 def index_arrays(keys: Sequence[int | str], texts: Sequence[str],
                  sources: Sequence[Collection[str]] | None = None, *,
                  k1: float, b: float) -> dict[str, np.ndarray]:
-    """``QuestionIndex.arrays`` for entries ``keys[i]`` with ``texts[i]``; entry i
-    credits each passage in ``sources[i]`` once, and none without ``sources``."""
+    """``QuestionIndex.arrays`` for entries ``keys[i]``, strictly ascending, with ``texts[i]``;
+    entry i credits each passage in ``sources[i]`` once, and none without ``sources``."""
     sources = [()] * len(keys) if sources is None else sources
     if len(sources) != len(keys):
         raise ValueError(f"{len(sources)} sources for {len(keys)} keys")
+    keys = np.array(keys)
+    if (keys[1:] <= keys[:-1]).any():
+        raise ValueError("keys must ascend")
     table = sorted(set().union(*sources))
     col = {pid: c for c, pid in enumerate(table)}
     sizes = [len(set(pids)) for pids in sources]
     blobs = [text.encode("utf-8") for text in texts]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
     return {
-        "keys": np.array(keys),
-        # the tie-break: rank[i] is the place of keys[i] in ascending key order
-        "rank": np.argsort(order),  # the inverse permutation
+        "keys": keys,
         "passages": np.array(table, dtype=str),
         "passage_offsets": np.cumsum([0, *sizes]),
         # ascending within an entry, as ``table`` is sorted
@@ -264,20 +261,20 @@ def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: flo
 def build_passage_index(corpus: Corpus, embedder: Embedder | None = None, *,
                         k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> QuestionIndex:
     """Passage-text index for the direct retrieval baseline."""
-    return QuestionIndex(index_arrays([p.id for p in corpus], [p.text for p in corpus], k1=k1, b=b),
-                         embedder)
+    ids = sorted(corpus.ids)
+    return QuestionIndex(index_arrays(ids, [corpus[pid].text for pid in ids], k1=k1, b=b), embedder)
 
 
-def _top_k(scores: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k best ``scores``, ordered (score desc, ``rank`` asc).
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best ``scores``, ordered (score desc, position asc).
 
     A partition finds the k-th best score; only the entries at or above it
-    are sorted, so ties at the boundary are cut by rank as a full sort would.
+    are sorted, so ties at the boundary are cut by position as a full sort would.
     """
     neg = -scores  # partitioning from the low end stays fast when few scores are high
     kth = np.partition(neg, k - 1)[k - 1] if k < len(neg) else np.inf
     picked = np.flatnonzero(neg <= kth)
-    return picked[np.lexsort((rank[picked], neg[picked]))][:k]
+    return picked[np.argsort(neg[picked], kind="stable")][:k]
 
 
 def retrieve_questions(
@@ -298,7 +295,7 @@ def retrieve_questions(
         rows = np.arange(len(scores))
     else:
         raise ValueError(f"unknown retrieval mode {mode!r}")
-    top = _top_k(scores, index.rank[rows], k)
+    top = _top_k(scores, k)  # rows ascend, and so do their keys
     ranked = enumerate(zip(index.keys[rows[top]].tolist(), scores[top].tolist()), start=1)
     return [RetrievalHit(key, score, rank) for rank, (key, score) in ranked]
 
@@ -310,8 +307,11 @@ def _credit(index: QuestionIndex, hits: Sequence[RetrievalHit]) -> tuple[dict, d
     counts: dict[int, int] = {}
     best: dict[int, float] = {}
     offsets, cols = index.passage_offsets, index.passage_cols
-    for hit in hits:
-        row = index.row_of[hit.qid]
+    qids = [hit.qid for hit in hits]
+    rows = np.searchsorted(index.keys, qids)
+    if not np.array_equal(index.keys[rows[rows < len(index.keys)]], qids):
+        raise KeyError(f"hits the index lacks among {qids}")
+    for row, hit in zip(rows.tolist(), hits):
         for col in cols[offsets[row]:offsets[row + 1]]:
             counts[col] = counts.get(col, 0) + 1
             if col not in best or hit.score > best[col]:

@@ -283,7 +283,8 @@ def test_retrieve_over_questions_without_db_exits_2(tmp_path, capsys, method):
 
 def _bad_database(tmp_path, case):
     """The fixture database with a record missing, a line of invalid JSON, the
-    first qid repeated, or version 9."""
+    first qid repeated, its records in descending qid order, an answer without
+    passage ids, or version 9."""
     lines = (DATA / "fixture.qadb").read_text().splitlines(keepends=True)
     if case.endswith("short_db"):
         lines = lines[:-1]
@@ -291,6 +292,12 @@ def _bad_database(tmp_path, case):
         lines[2] = "{not json\n"
     elif case.endswith("repeated_qid_db"):
         lines[2] = json.dumps({**json.loads(lines[2]), "qid": json.loads(lines[1])["qid"]}) + "\n"
+    elif case.endswith("descending_qid_db"):
+        lines[1:] = lines[:0:-1]
+    elif case.endswith("unbacked_answer_db"):
+        record = json.loads(lines[1])
+        record["answers"][0]["passage_ids"] = []
+        lines[1] = json.dumps(record) + "\n"
     else:
         lines[0] = json.dumps({**json.loads(lines[0]), "version": 9}) + "\n"
     path = tmp_path / "bad.qadb"
@@ -302,9 +309,9 @@ def _bad_database(tmp_path, case):
     "case",
     [
         "bad_embeddings", "number_query", "non_string_question",
-        "short_db", "invalid_json_db", "repeated_qid_db", "version_9_db",
+        "short_db", "invalid_json_db", "repeated_qid_db", "descending_qid_db", "version_9_db",
         "coverage_short_db", "coverage_invalid_json_db", "coverage_repeated_qid_db",
-        "coverage_version_9_db",
+        "coverage_descending_qid_db", "coverage_unbacked_answer_db", "coverage_version_9_db",
         "few_embeddings", "narrow_embeddings",
     ],
 )
@@ -347,7 +354,11 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     if case in ("few_embeddings", "narrow_embeddings"):
         assert "--embeddings" in err
     if case.endswith("repeated_qid_db"):
-        assert f"{named}: line 3: repeated qid 0" in err
+        assert f"{named}: line 3: qid 0 after 0; qids must ascend" in err
+    if case.endswith("descending_qid_db"):
+        assert f"{named}: line 3: qid 77 after 78; qids must ascend" in err
+    if case.endswith("unbacked_answer_db"):
+        assert f"{named}: line 2: an answer without passage_ids" in err
 
 
 def _run_reading(role, path, tmp_path):
@@ -429,8 +440,9 @@ def _edited_fixture_db(tmp_path, edit):
     [
         ("qid", lambda record: record.update(qid=str(record["qid"] + 1))),  # beside the int qid 1
         ("answers", lambda record: record["answers"][0].update(passage_ids="venue-football#0")),
+        ("answers", lambda record: record["answers"][0].update(mentions=True)),
     ],
-    ids=["mixed_qid_types", "passage_ids_string"],
+    ids=["mixed_qid_types", "passage_ids_string", "mentions_true"],
 )
 def test_mistyped_database_record_exits_2_naming_file_line_and_field(tmp_path, capsys, field, edit):
     db = _edited_fixture_db(tmp_path, edit)
@@ -439,6 +451,19 @@ def test_mistyped_database_record_exits_2_naming_file_line_and_field(tmp_path, c
     assert code == 2
     assert capsys.readouterr().err == f"error: {db}: line 2: missing or mistyped field {field!r}\n"
     assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_results_rank_true_exits_2_naming_rank(tmp_path, capsys):
+    header, first, *rest = (DATA / "golden_retrieve_count.jsonl").read_text().splitlines(True)
+    results = tmp_path / "results.jsonl"
+    first = json.dumps({**json.loads(first), "rank": True}) + "\n"
+    results.write_text("".join([header, first, *rest]))
+    code = main(["eval", "--task", "retrieval", "--results", str(results),
+                 "--gold", str(DATA / "gold.jsonl"), "--corpus", str(DATA / "corpus.jsonl"),
+                 "--report", str(tmp_path / "e.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {results}: line 2: missing or mistyped field 'rank'\n"
 
 
 def test_gold_answers_that_are_a_string_exit_2(tmp_path, capsys):

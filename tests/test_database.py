@@ -140,16 +140,33 @@ def test_load_garbage_header(tmp_path):
         QADatabase.load(path)
 
 
+def _saved_stadium_and_arena(path, qids, arena_passages=("b",)):
+    """Two questions under ``qids``, saved with a count and stats that agree with them."""
+    stadium = (AnswerEntry("Michigan Stadium", ("a",), 1),)
+    arena = (AnswerEntry("Crisler Center", arena_passages, 1),)
+    QADatabase([MergedQuestion(qids[0], "where is the stadium?", stadium),
+                MergedQuestion(qids[1], "where is the arena?", arena)]).save(path)
+    return path
+
+
 def test_load_rejects_a_repeated_qid(tmp_path):
-    # two questions under qid 0, saved with a count and stats that agree with them
-    path = tmp_path / "repeated.jsonl"
-    QADatabase(
-        [
-            MergedQuestion(0, "where is the stadium?", (AnswerEntry("Michigan Stadium", ("a",), 1),)),
-            MergedQuestion(0, "where is the arena?", (AnswerEntry("Crisler Center", ("b",), 1),)),
-        ]
-    ).save(path)
-    with pytest.raises(CorruptDatabase, match=re.escape(f"{path}: line 3: repeated qid 0")):
+    path = _saved_stadium_and_arena(tmp_path / "repeated.jsonl", (0, 0))
+    message = f"{path}: line 3: qid 0 after 0; qids must ascend"
+    with pytest.raises(CorruptDatabase, match=re.escape(message)):
+        QADatabase.load(path)
+
+
+def test_load_rejects_descending_qids(tmp_path):
+    path = _saved_stadium_and_arena(tmp_path / "descending.jsonl", (5, 2))
+    message = f"{path}: line 3: qid 2 after 5; qids must ascend"
+    with pytest.raises(CorruptDatabase, match=re.escape(message)):
+        QADatabase.load(path)
+
+
+def test_load_rejects_an_answer_without_passage_ids(tmp_path):
+    path = _saved_stadium_and_arena(tmp_path / "unbacked.jsonl", (0, 1), arena_passages=())
+    message = f"{path}: line 3: an answer without passage_ids"
+    with pytest.raises(CorruptDatabase, match=re.escape(message)):
         QADatabase.load(path)
 
 

@@ -37,6 +37,14 @@ def test_parse_errors_name_source_and_line(text, problem):
         list(jsonl.parse_lines(text.splitlines(), "db.qadb", CorruptDatabase))
 
 
+def test_json_booleans_fit_bool_only():
+    assert jsonl.fits(True, bool) and jsonl.fits(False, bool)
+    assert not jsonl.fits(True, int) and not jsonl.fits(False, (str, int))
+    assert not jsonl.fits(1, bool)
+    assert not jsonl.fits({"mentions": True}, {"mentions": int})
+    assert jsonl.fits([1, 2], [int]) and not jsonl.fits([1, True], [int])
+
+
 def test_write_replaces_whole_file_and_leaves_no_temporary(tmp_path):
     path = tmp_path / "out.jsonl"
     path.write_text("old contents\n")

@@ -89,8 +89,22 @@ def test_index_arrays_rejects_sources_of_another_length():
         index_arrays([1, 2], ["a b", "c"], [{"p1"}], k1=DEFAULT_K1, b=DEFAULT_B)
 
 
+@pytest.mark.parametrize("keys", [[2, 1], [0, 1, 1], ["b", "a"], ["p10", "p9", "p8"]])
+def test_index_arrays_refuses_keys_that_do_not_strictly_ascend(keys):
+    with pytest.raises(ValueError, match="keys must ascend"):
+        index_arrays(keys, ["some text"] * len(keys), k1=DEFAULT_K1, b=DEFAULT_B)
+
+
+def test_image_layout_is_pinned_to_its_version():
+    # a change to the arrays of QuestionIndex needs a bump of IMAGE_VERSION
+    members = sorted(_arrays([1, 2], ["a b", "c"]))
+    assert (retrieval.IMAGE_VERSION, members) == (2, [
+        "keys", "offsets", "passage_cols", "passage_offsets", "passages", "rows", "size",
+        "text_offsets", "text_utf8", "vocab", "weights"])
+
+
 def test_question_index_rejects_repeated_keys():
-    with pytest.raises(ValueError, match="2 keys, of which 1 distinct"):
+    with pytest.raises(ValueError, match="keys must ascend"):
         QuestionIndex(_arrays([0, 0], ["where is the stadium?", "where is the arena?"]))
     db = QADatabase(
         [
@@ -98,7 +112,7 @@ def test_question_index_rejects_repeated_keys():
             MergedQuestion(0, "where is the arena?", (AnswerEntry("Crisler Center", ("b",), 1),)),
         ]
     )
-    with pytest.raises(ValueError, match="2 keys, of which 1 distinct"):
+    with pytest.raises(ValueError, match="keys must ascend"):
         build_index(db)
 
 
@@ -207,33 +221,35 @@ def _hit_tuples(index, query, k, mode):
     return [(h.qid, h.score, h.rank) for h in retrieve_questions(index, query, k, mode)]
 
 
-def _tied_index(keys):
-    """25 identical 'alpha beta' texts, then 10 'alpha' and 5 'gamma'; dense
-    rows are one-hot per text, so equal texts score exactly equal."""
+def _tied_index(keys, seed):
+    """Over the ascending ``keys``, 25 identical 'alpha beta' texts, 10 'alpha'
+    and 5 'gamma', shuffled over the rows; dense rows are one-hot per text, so
+    equal texts score exactly equal. Also the keys of the 'alpha beta' rows."""
     texts = ["alpha beta"] * 25 + ["alpha"] * 10 + ["gamma"] * 5
+    random.Random(seed).shuffle(texts)
     group = {"alpha beta": 0, "alpha": 1, "gamma": 2}
     vectors = np.eye(3)[[group[t] for t in texts]]
     embedder = lambda text: np.array([3.0, 2.0, 1.0])  # noqa: E731
-    return QuestionIndex(_arrays(keys, texts), embedder, dense_vectors=vectors)
+    index = QuestionIndex(_arrays(sorted(keys), texts), embedder, dense_vectors=vectors)
+    return index, [key for key, text in zip(sorted(keys), texts) if text == "alpha beta"]
 
 
 @pytest.mark.parametrize("mode", ["sparse", "dense"])
 @pytest.mark.parametrize("key_kind", [int, str])
 def test_top_k_cuts_exact_ties_at_kth_score_by_key(mode, key_kind):
     keys = [key_kind(k) for k in random.Random(5).sample(range(1000, 2000), 40)]
-    index = _tied_index(keys)
+    index, tied_keys = _tied_index(keys, seed=5)
     for k in (1, 10, 25, 26, 30):
         hits = _hit_tuples(index, "alpha beta", k, mode)
         assert hits == _full_sort(index, "alpha beta", k, mode)
         assert len(hits) == k
     # k = 10 cuts the 25-way tie: the 10 lowest of its keys, ascending
-    tied_keys = sorted(keys[:25])
     assert [qid for qid, _, _ in _hit_tuples(index, "alpha beta", 10, mode)] == tied_keys[:10]
 
 
 @pytest.mark.parametrize("mode", ["sparse", "dense"])
 def test_top_k_with_k_equal_to_and_above_index_size(mode):
-    index = _tied_index(random.Random(6).sample(range(100), 40))
+    index, _ = _tied_index(random.Random(6).sample(range(100), 40), seed=6)
     for k in (40, 41, 500):
         hits = _hit_tuples(index, "alpha beta gamma", k, mode)
         assert hits == _full_sort(index, "alpha beta gamma", k, mode)
@@ -241,8 +257,9 @@ def test_top_k_with_k_equal_to_and_above_index_size(mode):
 
 
 def test_dense_zero_query_vector_orders_by_key_alone():
-    keys = random.Random(7).sample(range(10_000), 60)
+    keys = sorted(random.Random(7).sample(range(10_000), 60))
     texts = [f"topic {i} question" for i in range(60)]
+    random.Random(7).shuffle(texts)
     index = QuestionIndex(_arrays(keys, texts), hashing_embedder(dim=16, seed=1))
     assert not index.embed_query("?!").any()
     for k in (1, 7, 60, 61):
@@ -259,7 +276,7 @@ def test_top_k_matches_full_sort_on_random_instances():
         n = rng.randint(1, 80)
         texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 4))) for _ in range(n)]
         ids = rng.sample(range(10 * n), n)
-        keys = ids if trial % 2 else [f"p{i}" for i in ids]
+        keys = sorted(ids if trial % 2 else [f"p{i}" for i in ids])
         # duplicated rows give ties in dense mode too
         base = np.random.default_rng(trial).normal(size=(max(1, n // 3), 8))
         vectors = base[[rng.randrange(len(base)) for _ in range(n)]]
