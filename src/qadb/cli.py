@@ -21,7 +21,8 @@ from .backend import Backend, RemoteBackend, StubBackend
 from .config import RunConfig
 from .corpus import load_corpus
 from .database import QADatabase
-from .errors import ContractViolation, DuplicateId, EmbeddingDimMismatch, ParseError, QADBError
+from .errors import (ContractViolation, DuplicateId, EmbeddingDimMismatch, NonFiniteVectors,
+                     ParseError, QADBError)
 from .metrics import evaluate_longform, evaluate_retrieval_recall, load_examples
 
 
@@ -154,7 +155,7 @@ def cmd_retrieve(args) -> int:
             index = retrieval.open_index(
                 args.db, embedder, k1=config.bm25_k1, b=config.bm25_b, dense_vectors=dense_vectors
             )
-        except EmbeddingDimMismatch as exc:  # the hashing embedder alone never mismatches
+        except (EmbeddingDimMismatch, NonFiniteVectors) as exc:  # never from the hashing embedder
             raise _CliError(2, f"--embeddings {args.embeddings}: {exc}") from exc
     if config.retrieval_mode == "sparse":
         _ = index.sparse  # read the BM25 arrays at set-up, not inside the first query

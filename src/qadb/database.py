@@ -194,6 +194,8 @@ class QADatabase:
             if questions and qid <= questions[-1].qid:
                 raise CorruptDatabase(f"{path}: line {lineno}: qid {qid} after "
                                       f"{questions[-1].qid}; qids must ascend")
+            if not record["answers"]:
+                raise CorruptDatabase(f"{path}: line {lineno}: a question without answers")
             if not all(entry["passage_ids"] for entry in record["answers"]):
                 raise CorruptDatabase(f"{path}: line {lineno}: an answer without passage_ids")
             answers = (AnswerEntry(entry["text"], tuple(entry["passage_ids"]), entry["mentions"])

@@ -43,3 +43,7 @@ class ContractViolation(QADBError):
 
 class EmbeddingDimMismatch(ContractViolation):
     """Vectors of one index, or a query's, disagree in count or dimensionality."""
+
+
+class NonFiniteVectors(ContractViolation, ValueError):
+    """Vectors given to an index hold NaN or an infinity."""

@@ -30,7 +30,7 @@ import numpy as np
 from . import jsonl
 from .corpus import Corpus
 from .database import QADatabase
-from .errors import EmbeddingDimMismatch, ModeUnavailable
+from .errors import ContractViolation, EmbeddingDimMismatch, ModeUnavailable, NonFiniteVectors
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -142,30 +142,32 @@ class QuestionIndex:
         self.passages, self.passage_offsets, self.passage_cols = (
             arrays[name].tolist() for name in ("passages", "passage_offsets", "passage_cols"))
         self.embedder = embedder
+        # dense rows as given (float32 stays float32), their float64 norms, float32 unit rows
+        self.vectors = self.norms = self.screen = None
         if dense_vectors is not None:
             width = dense_vectors.shape[1] if embedder is None else np.size(embedder(""))
             if dense_vectors.shape != (len(self.keys), width):
                 raise EmbeddingDimMismatch(
                     f"vectors of shape {dense_vectors.shape}, expected {(len(self.keys), width)}")
-            self.dense: np.ndarray | None = _unit_rows(np.asarray(dense_vectors, dtype=np.float64))
+            self.vectors = dense_vectors
         elif embedder is not None:
             data, ends = arrays["text_utf8"].tobytes(), arrays["text_offsets"].tolist()
             texts = [data[a:z].decode("utf-8") for a, z in zip(ends, ends[1:])]
-            self.dense = _unit_rows(_embed_all(embedder, texts))
-        else:
-            self.dense = None
+            self.vectors = _embed_all(embedder, texts)
+        if self.vectors is not None:
+            self.norms, self.screen = _norms_and_screen(self.vectors)
 
     @cached_property
     def sparse(self) -> _Bm25:
         return _Bm25(self.arrays)
 
     def embed_query(self, query: str) -> np.ndarray:
-        if self.dense is None or self.embedder is None:
+        if self.vectors is None or self.embedder is None:
             raise ModeUnavailable("index has no dense vectors / query embedder")
         vector = np.asarray(self.embedder(query), dtype=np.float64)
-        if vector.ndim != 1 or vector.shape[0] != self.dense.shape[1]:
-            raise EmbeddingDimMismatch(f"query vector dim {vector.shape} != {self.dense.shape[1]}")
-        return _unit_rows(vector[None, :])[0]
+        if vector.ndim != 1 or vector.shape[0] != self.vectors.shape[1]:
+            raise EmbeddingDimMismatch(f"query vector dim {vector.shape} != {self.vectors.shape[1]}")
+        return vector / _row_norms(vector[None, :])[0]
 
 
 def index_arrays(keys: Sequence[int | str], texts: Sequence[str],
@@ -205,9 +207,23 @@ def _embed_all(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
     return np.stack(vectors) if vectors else np.zeros((0, np.size(embedder(""))))
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.where(norms == 0.0, 1.0, norms)  # all-zero rows stay zero
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(matrix, axis=1)
+    return np.where(norms == 0.0, 1.0, norms)  # all-zero rows stay zero when divided
+
+
+def _norms_and_screen(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 ``_row_norms`` of ``vectors`` and their float32 unit rows, made a
+    block of rows at a time, so no float64 copy of the whole matrix is held."""
+    norms, screen = np.empty(len(vectors)), np.empty(vectors.shape, dtype=np.float32)
+    for start in range(0, len(vectors), 4096):
+        block, rows = vectors[start:start + 4096].astype(np.float64), slice(start, start + 4096)
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if len(bad):
+            raise NonFiniteVectors(f"vector row {start + bad[0]} holds NaN or infinity")
+        norms[rows] = _row_norms(block)
+        screen[rows] = block / norms[rows, None]
+    return norms, screen
 
 
 def build_index(db: QADatabase, embedder: Embedder | None = None, *, k1: float = DEFAULT_K1,
@@ -244,6 +260,8 @@ def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: flo
                     index = QuestionIndex(arrays, embedder, dense_vectors=dense_vectors)
                     stack.pop_all()
                     return index
+        except ContractViolation:  # the vectors given, not the image, are at fault
+            raise
         except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
             pass
         # Parse the very bytes just hashed, even if the file was replaced since.
@@ -277,6 +295,51 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return picked[np.argsort(neg[picked], kind="stable")][:k]
 
 
+def _screen_margin(dim: int) -> float:
+    """How far below the k-th float32 screen score a row of the exact top k can screen.
+
+    With u = 2**-24, let r and q be a row's and the query's float64 unit vectors
+    (norms below 1 + 2**-30 for dim <= 2**20). The exact dot product fl32(r).fl32(q)
+    is within (2u + u*u)|r||q| of r.q, plus 2**-150 per subnormal entry. Summing it
+    in float32 in any order adds gamma = dim*u / (1 - dim*u) times the sum of |terms|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Thm 3.1), plus
+    2**-150 per product that underflows. The float64 score is within 1.01*dim*2**-53
+    of r.q, and 1.01 covers the second-order terms. So |screen - score| <= bound. The
+    k rows screening at least kth all score at least kth - bound, so every row of the
+    exact top k, ties included, screens at least kth - 2 * bound. The last 2u covers
+    rounding kth - margin to float32, as |kth| < 1.07 and margin < 0.3.
+    """
+    u = 2.0 ** -24
+    if dim > 2 ** 20:
+        return math.inf  # keep every row
+    gamma = dim * u / (1 - dim * u)
+    bound = 1.01 * (gamma + 3 * u) + 1.01 * dim * 2.0 ** -53 + 4 * dim * 2.0 ** -150
+    return 2 * bound + 2 * u
+
+
+def _dense_scores(index: QuestionIndex, query: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that may reach the top k for ``query``, ascending, with exact float64 scores:
+    a float32 screen of every row, then a rescoring of the rows within its error margin."""
+    vector = index.embed_query(query)
+    rows = np.arange(len(index.keys))
+    if k < len(rows):
+        screened = index.screen @ vector.astype(np.float32)
+        kth = -np.partition(-screened, k - 1)[k - 1]  # from the low end, as _top_k
+        rows = np.flatnonzero(screened >= kth - _screen_margin(len(vector)))
+    # OpenBLAS runs a gemv of under 9,216 entries on one thread, and scores a row in a
+    # group of 4 rows differently from a leftover row; blocks of one height that is a
+    # multiple of 4, padded with zero rows, score a row alike wherever it sits
+    height = max(4, 8192 // max(1, len(vector)) // 4 * 4)
+    block = np.zeros((height, len(vector)))
+    scores = np.empty(len(rows))
+    for start in range(0, len(rows), height):
+        part = rows[start:start + height]
+        block[len(part):] = 0.0
+        np.divide(index.vectors[part], index.norms[part, None], out=block[:len(part)])
+        scores[start:start + len(part)] = (block @ vector)[:len(part)]
+    return rows, scores
+
+
 def retrieve_questions(
     index: QuestionIndex, query: str, k: int, mode: str = SPARSE
 ) -> list[RetrievalHit]:
@@ -291,8 +354,7 @@ def retrieve_questions(
         found = index.sparse.scores(tokenize(query))
         rows, scores = found["row"], found["score"]
     elif mode == DENSE:
-        scores = index.dense @ index.embed_query(query)
-        rows = np.arange(len(scores))
+        rows, scores = _dense_scores(index, query, k)
     else:
         raise ValueError(f"unknown retrieval mode {mode!r}")
     top = _top_k(scores, k)  # rows ascend, and so do their keys
@@ -413,4 +475,4 @@ def load_vectors(path: str) -> np.ndarray:
     expected = 12 + 4 * count * dim
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    return np.frombuffer(blob[12:], dtype=np.float32).reshape(count, dim).astype(np.float64)
+    return np.frombuffer(blob, dtype=np.float32, offset=12).reshape(count, dim)

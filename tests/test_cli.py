@@ -284,7 +284,7 @@ def test_retrieve_over_questions_without_db_exits_2(tmp_path, capsys, method):
 def _bad_database(tmp_path, case):
     """The fixture database with a record missing, a line of invalid JSON, the
     first qid repeated, its records in descending qid order, an answer without
-    passage ids, or version 9."""
+    passage ids, a question without answers, or version 9."""
     lines = (DATA / "fixture.qadb").read_text().splitlines(keepends=True)
     if case.endswith("short_db"):
         lines = lines[:-1]
@@ -298,6 +298,8 @@ def _bad_database(tmp_path, case):
         record = json.loads(lines[1])
         record["answers"][0]["passage_ids"] = []
         lines[1] = json.dumps(record) + "\n"
+    elif case.endswith("answerless_question_db"):
+        lines[1] = json.dumps({**json.loads(lines[1]), "answers": []}) + "\n"
     else:
         lines[0] = json.dumps({**json.loads(lines[0]), "version": 9}) + "\n"
     path = tmp_path / "bad.qadb"
@@ -312,7 +314,8 @@ def _bad_database(tmp_path, case):
         "short_db", "invalid_json_db", "repeated_qid_db", "descending_qid_db", "version_9_db",
         "coverage_short_db", "coverage_invalid_json_db", "coverage_repeated_qid_db",
         "coverage_descending_qid_db", "coverage_unbacked_answer_db", "coverage_version_9_db",
-        "few_embeddings", "narrow_embeddings",
+        "answerless_question_db", "coverage_answerless_question_db",
+        "few_embeddings", "narrow_embeddings", "nonfinite_embeddings",
     ],
 )
 def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
@@ -329,9 +332,12 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         queries.write_text(json.dumps({"query_id": "q1", "question": 7}) + "\n")
     elif case.endswith("_db"):
         db = named = _bad_database(tmp_path, case)
-    else:  # vectors that do not fit the 79 questions, or queries embedded in width 64
+    else:  # vectors that do not fit the 79 questions, or hold NaN and infinity
         named = tmp_path / "vectors.qvec"
-        retrieval.save_vectors(str(named), np.ones((3, 64) if case == "few_embeddings" else (79, 8)))
+        vectors = np.ones({"few_embeddings": (3, 64), "narrow_embeddings": (79, 8)}.get(case, (79, 64)))
+        if case == "nonfinite_embeddings":
+            vectors[1:3, 0] = np.nan, np.inf
+        retrieval.save_vectors(str(named), vectors)
         config = tmp_path / "dense.txt"
         config.write_text("retrieval_mode = dense\nembedding_dim = 64\n")
         extra = ["--embeddings", str(named), "--config", str(config)]
@@ -351,7 +357,7 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(named) in err
-    if case in ("few_embeddings", "narrow_embeddings"):
+    if case in ("few_embeddings", "narrow_embeddings", "nonfinite_embeddings"):
         assert "--embeddings" in err
     if case.endswith("repeated_qid_db"):
         assert f"{named}: line 3: qid 0 after 0; qids must ascend" in err
@@ -359,6 +365,10 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         assert f"{named}: line 3: qid 77 after 78; qids must ascend" in err
     if case.endswith("unbacked_answer_db"):
         assert f"{named}: line 2: an answer without passage_ids" in err
+    if case.endswith("answerless_question_db"):
+        assert f"{named}: line 2: a question without answers" in err
+    if case == "nonfinite_embeddings":
+        assert "NaN or infinity" in err
 
 
 def _run_reading(role, path, tmp_path):

@@ -170,6 +170,14 @@ def test_load_rejects_an_answer_without_passage_ids(tmp_path):
         QADatabase.load(path)
 
 
+def test_load_rejects_a_question_without_answers(tmp_path):
+    # flatten() would drop it, so re-merging could not reproduce the database
+    path = tmp_path / "answerless.jsonl"
+    QADatabase([MergedQuestion(0, "where?", ())]).save(path)
+    with pytest.raises(CorruptDatabase, match=re.escape(f"{path}: line 2: a question without answers")):
+        QADatabase.load(path)
+
+
 def _gold(*answer_sets):
     return [
         EvalExample(query_id=f"q{i}", question="?", gold_answers=tuple(answers))

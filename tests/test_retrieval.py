@@ -56,16 +56,20 @@ def _small_db():
 
 def test_build_index_sparse_only():
     index = build_index(_small_db())
-    assert index.dense is None
+    assert index.vectors is None and index.norms is None and index.screen is None
     assert len(index.keys) == 2
 
 
 def test_build_index_dense_unit_rows():
     db = build_db([("p", f"a{i}", f"question number {i} about topic {i}?") for i in range(10)])
-    index = build_index(db, hashing_embedder(dim=64, seed=1))
-    assert index.dense.shape == (10, 64)
-    norms = np.linalg.norm(index.dense, axis=1)
-    assert np.all(np.abs(norms - 1.0) < 1e-6)
+    embedder = hashing_embedder(dim=64, seed=1)
+    index = build_index(db, embedder)
+    vectors = np.stack([embedder(q.question) for q in db.questions])
+    assert index.vectors.dtype == np.float64 and np.array_equal(index.vectors, vectors)
+    assert np.array_equal(index.norms, np.linalg.norm(vectors, axis=1))
+    assert index.screen.dtype == np.float32 and index.screen.shape == (10, 64)
+    assert np.array_equal(index.screen, (vectors / index.norms[:, None]).astype(np.float32))
+    assert np.all(np.abs(np.linalg.norm(index.screen, axis=1) - 1.0) < 1e-6)
 
 
 def test_question_passage_table_is_each_questions_provenance():
@@ -209,9 +213,8 @@ def _full_sort(index, query, k, mode):
     if mode == "sparse":
         found = index.sparse.scores(tokenize(query))
         rows, scores = found["row"].tolist(), found["score"].tolist()
-    else:
-        rows = list(range(len(index.keys)))
-        scores = (index.dense @ index.embed_query(query)).tolist()
+    else:  # every row rescored, none screened out
+        rows, scores = (a.tolist() for a in retrieval._dense_scores(index, query, len(index.keys)))
     pairs = [(index.keys[r], s) for r, s in zip(rows, scores)]
     ranked = sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
     return [(key, score, rank) for rank, (key, score) in enumerate(ranked[:k], start=1)]
@@ -286,6 +289,90 @@ def test_top_k_matches_full_sort_on_random_instances():
         for mode in ("sparse", "dense"):
             k = rng.randint(1, n + 3)
             assert _hit_tuples(index, query, k, mode) == _full_sort(index, query, k, mode)
+
+
+def _unit_rows(matrix):
+    """Reference: float64 rows scaled to norm 1; an all-zero row stays zero."""
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return matrix / np.where(norms == 0.0, 1.0, norms)
+
+
+def _dense_index(vectors, query_vectors):
+    """An index over ``vectors`` keyed 0, 1, ...; the query text ``str(i)`` embeds
+    as ``query_vectors[i]``."""
+    def embed(text):
+        return query_vectors[int(text)] if text else np.zeros(vectors.shape[1])
+    return QuestionIndex(_arrays(range(len(vectors)), ["x"] * len(vectors)), embed,
+                         dense_vectors=vectors)
+
+
+def test_dense_screen_keeps_exact_and_near_ties_around_the_kth_score():
+    # 12 directions, 8 rows each: 4 exact copies (exact ties) and 4 nudged by
+    # ~1e-9, below float32 resolution, so exact scores within 1e-7 of each
+    # other screen tied or in the wrong order
+    rng = np.random.default_rng(17)
+    vectors = np.repeat(rng.normal(size=(12, 16)), 8, axis=0)
+    vectors[1::2] += rng.normal(size=(48, 16)) * 1e-9
+    vectors = vectors[rng.permutation(96)]
+    index = _dense_index(vectors, rng.normal(size=(1, 16)))
+    ranked = _full_sort(index, "0", 96, "dense")
+    screened = index.screen @ index.embed_query("0").astype(np.float32)
+    exact_cuts = near_cuts = unscreened = 0
+    for k in range(1, 96):
+        assert _hit_tuples(index, "0", k, "dense") == _full_sort(index, "0", k, "dense")
+        gap = ranked[k - 1][1] - ranked[k][1]
+        exact_cuts += gap == 0.0
+        near_cuts += 0.0 < gap < 1e-7
+        # rows of the exact top k that a screen without margin would drop
+        kth = -np.partition(-screened, k - 1)[k - 1]
+        unscreened += any(screened[key] < kth for key, _, _ in ranked[:k])
+    assert exact_cuts and near_cuts and unscreened
+
+
+def test_dense_rows_near_the_float32_limits():
+    rng = np.random.default_rng(5)
+    scale = np.repeat([1e-30, 1.0, 1e30], 20)[:, None]
+    vectors = (rng.normal(size=(60, 8)) * scale).astype(np.float32)
+    vectors[0] = [1e30, *[1e-30] * 7]  # entries that underflow in the float32 screen
+    vectors[1] = [1e-30, *[0.0] * 7]
+    queries = rng.normal(size=(5, 8))
+    index = _dense_index(vectors, queries)
+    reference = _unit_rows(vectors.astype(np.float64))
+    for i, query in enumerate(queries):
+        rows, scores = retrieval._dense_scores(index, str(i), 60)
+        assert np.abs(scores - reference @ _unit_rows(query[None, :])[0]).max() <= 1e-12
+        for k in (1, 5, 20, 59):
+            assert _hit_tuples(index, str(i), k, "dense") == _full_sort(index, str(i), k, "dense")
+
+
+def test_rescored_scores_match_unit_rows_in_float64():
+    rng = np.random.default_rng(8)
+    vectors = rng.normal(size=(300, 64)).astype(np.float32)
+    queries = rng.normal(size=(10, 64))
+    index = _dense_index(vectors, queries)
+    reference = _unit_rows(vectors.astype(np.float64))
+    for i, query in enumerate(queries):
+        rows, scores = retrieval._dense_scores(index, str(i), 300)
+        assert rows.tolist() == list(range(300))
+        assert np.abs(scores - reference @ _unit_rows(query[None, :])[0]).max() <= 1e-12
+
+
+def test_dense_scores_do_not_depend_on_row_position():
+    # OpenBLAS scores a row in a group of 4 rows and a leftover row with
+    # different kernels, so one product over the whole matrix gave a row
+    # scores differing in the last bit as rows were added before it
+    rng = np.random.default_rng(29)
+    vectors = rng.normal(size=(301, 64)).astype(np.float32)
+    queries = rng.normal(size=(100, 64))
+    scores = []
+    for extra in range(4):
+        padded = np.concatenate([rng.normal(size=(extra, 64)).astype(np.float32), vectors])
+        index = _dense_index(padded, queries)
+        scores.append([sorted((hit.qid - extra, hit.score)
+                              for hit in retrieve_questions(index, str(i), len(padded), "dense")
+                              if hit.qid >= extra)
+                       for i in range(len(queries))])
+    assert scores[1] == scores[0] and scores[2] == scores[0] and scores[3] == scores[0]
 
 
 def test_bm25_scores_are_exactly_the_positive_rows():
@@ -480,8 +567,8 @@ def test_vector_file_round_trip(tmp_path):
     path = tmp_path / "vectors.qvec"
     save_vectors(str(path), matrix)
     loaded = load_vectors(str(path))
-    assert loaded.shape == (3, 4)
-    assert np.allclose(loaded, matrix.astype(np.float32))
+    assert loaded.dtype == np.float32 and loaded.shape == (3, 4)
+    assert np.array_equal(loaded, matrix.astype(np.float32))
 
 
 def test_vector_file_rejects_truncation(tmp_path):
@@ -503,12 +590,35 @@ def test_build_index_with_precomputed_vectors():
     assert hits[0].score == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("source", ["float64", "float32", "embedder"])
+def test_non_finite_vectors_are_refused(source):
+    # unrefused, the NaN scores made a k=2 query return [], not the min(k, n) hits promised
+    vectors = np.array([[1.0, 0.0], [np.nan, 0.0], [np.inf, 1.0]])
+    arrays = _arrays([0, 1, 2], ["a", "b", "c"])
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        if source == "embedder":
+            QuestionIndex(arrays, lambda text: vectors["abc".index(text)] if text else vectors[0])
+        else:
+            QuestionIndex(arrays, dense_vectors=vectors.astype(source))
+
+
+def test_open_index_refuses_non_finite_vectors_without_a_rebuild(tmp_path, monkeypatch):
+    path = tmp_path / "db.qadb"
+    random_database(random.Random(3), 10, 40).save(path)
+    index = open_index(path)
+    forbid_database_parse(monkeypatch)
+    vectors = np.ones((len(index.keys), 8), dtype=np.float32)
+    vectors[-1, 3] = np.inf
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        open_index(path, hashing_embedder(8), dense_vectors=vectors)
+
+
 # ------------------------------------------------------------- index image
 
 
 def test_empty_index_returns_no_hits_in_either_mode():
     index = QuestionIndex(_arrays([], []), hashing_embedder(8))
-    assert index.dense.shape == (0, 8)
+    assert index.screen.shape == (0, 8)
     assert retrieve_questions(index, "anything at all", 5, "dense") == []
     assert retrieve_questions(index, "anything at all", 5, "sparse") == []
 
@@ -537,7 +647,8 @@ def test_image_round_trips_every_array(tmp_path, monkeypatch, n_questions):
     for name, array in cold.arrays.items():
         assert warm.arrays[name].dtype == array.dtype, name
         assert np.array_equal(warm.arrays[name], array), name
-    assert np.array_equal(warm.dense, cold.dense)
+    for name in ("vectors", "norms", "screen"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
     for mode in ("sparse", "dense"):
         assert _answers(warm, queries, mode) == _answers(cold, queries, mode)
     assert bool(n_questions) == any(_answers(warm, queries))
