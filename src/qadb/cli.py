@@ -133,9 +133,9 @@ def cmd_retrieve(args) -> int:
     embedder = None
     if config.retrieval_mode == "dense":
         embedder = retrieval.hashing_embedder(config.embedding_dim, config.seed)
+    if args.embeddings and (embedder is None or config.retrieval_method == "direct"):
+        raise _CliError(2, "--embeddings holds question vectors; only dense max/count read them")
     if config.retrieval_method == "direct":  # ranks passage texts; the database goes unread
-        if args.embeddings:
-            raise _CliError(2, "--embeddings holds question vectors; the direct method reads none")
         if not args.corpus:
             raise _CliError(2, "direct method needs --corpus to build the passage index")
         corpus = load_corpus(str(_require_file(args.corpus, "corpus")))

@@ -220,7 +220,8 @@ def build_database(
         rows, verified = [], []
         for lineno, row in entries:
             jsonl.check(row, _ROW, path, lineno)
-            if row.keys() != _ROW.keys() or row["passage_id"] not in corpus:
+            if (row.keys() != _ROW.keys() or row["passage_id"] not in corpus
+                    or any(qa["passage_id"] != row["passage_id"] for qa in row["records"])):
                 raise ParseError(f"{path}: line {lineno}: not a checkpoint row of this corpus")
             try:
                 verified += _verified(row)

@@ -28,6 +28,8 @@ class Passage:
     def __post_init__(self) -> None:
         if not self.text or self.text.isspace():
             raise ValueError(f"passage {self.id!r} has empty text")
+        if "\0" in self.id:  # numpy's str arrays, which the index keeps ids in, strip it
+            raise ValueError(f"passage id {self.id!r} holds U+0000")
 
     def to_record(self) -> dict:
         return {"id": self.id, "title": self.title, "text": self.text}

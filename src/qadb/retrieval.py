@@ -129,41 +129,46 @@ class QuestionIndex:
 
     Built over generated questions for indirect retrieval, and reused
     over passage texts for the direct baseline. It runs from ``arrays``
-    alone, made by ``index_arrays`` or loaded by ``open_index``; the BM25
-    arrays are read at the first sparse query. Row i, the i-th smallest key, credits
+    alone, made by ``index_arrays`` or loaded by ``open_index``. The BM25 arrays
+    are read at the first sparse query; dense rows are held only with an ``embedder``.
+    Row i, the i-th smallest key, credits
     ``passages[passage_cols[passage_offsets[i]:passage_offsets[i + 1]]]``.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray], embedder: Embedder | None = None, *,
                  dense_vectors: np.ndarray | None = None):
         self.arrays = arrays  # an NpzFile reads a member each time it is indexed
-        self.keys = arrays["keys"]
-        # Python lists: aggregation reads a few items of each per hit
-        self.passages, self.passage_offsets, self.passage_cols = (
-            arrays[name].tolist() for name in ("passages", "passage_offsets", "passage_cols"))
+        self.keys, self.passages = arrays["keys"], arrays["passages"].tolist()
+        self.passage_offsets, self.passage_cols = arrays["passage_offsets"], arrays["passage_cols"]
         self.embedder = embedder
         # dense rows as given (float32 stays float32), their float64 norms, float32 unit rows
         self.vectors = self.norms = self.screen = None
-        if dense_vectors is not None:
-            width = dense_vectors.shape[1] if embedder is None else np.size(embedder(""))
-            if dense_vectors.shape != (len(self.keys), width):
-                raise EmbeddingDimMismatch(
-                    f"vectors of shape {dense_vectors.shape}, expected {(len(self.keys), width)}")
-            self.vectors = dense_vectors
-        elif embedder is not None:
+        if embedder is None:
+            if dense_vectors is not None:
+                raise ContractViolation("dense vectors given without a query embedder")
+            return
+        width = np.size(embedder(""))
+        if dense_vectors is None:
             data, ends = arrays["text_utf8"].tobytes(), arrays["text_offsets"].tolist()
-            texts = [data[a:z].decode("utf-8") for a, z in zip(ends, ends[1:])]
-            self.vectors = _embed_all(embedder, texts)
-        if self.vectors is not None:
-            self.norms, self.screen = _norms_and_screen(self.vectors)
+            dense_vectors = np.empty((len(self.keys), width))
+            for row, (start, end) in enumerate(zip(ends, ends[1:])):
+                vector = embedder(data[start:end].decode("utf-8"))
+                if np.shape(vector) != (width,):
+                    raise EmbeddingDimMismatch(f"row {row} is {np.shape(vector)}, not ({width},)")
+                dense_vectors[row] = vector
+        elif dense_vectors.shape != (len(self.keys), width):
+            raise EmbeddingDimMismatch(
+                f"vectors of shape {dense_vectors.shape}, expected {(len(self.keys), width)}")
+        self.vectors = dense_vectors
+        self.norms, self.screen = _norms_and_screen(dense_vectors)
 
     @cached_property
     def sparse(self) -> _Bm25:
         return _Bm25(self.arrays)
 
     def embed_query(self, query: str) -> np.ndarray:
-        if self.vectors is None or self.embedder is None:
-            raise ModeUnavailable("index has no dense vectors / query embedder")
+        if self.vectors is None:
+            raise ModeUnavailable("index has no query embedder")
         vector = np.asarray(self.embedder(query), dtype=np.float64)
         if vector.ndim != 1 or vector.shape[0] != self.vectors.shape[1]:
             raise EmbeddingDimMismatch(f"query vector dim {vector.shape} != {self.vectors.shape[1]}")
@@ -196,15 +201,6 @@ def index_arrays(keys: Sequence[int | str], texts: Sequence[str],
         "text_offsets": np.cumsum([0, *map(len, blobs)]),
         **_Bm25.build(map(tokenize, texts), k1, b),
     }
-
-
-def _embed_all(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
-    vectors = [np.asarray(embedder(text), dtype=np.float64) for text in texts]
-    shapes = sorted({v.shape for v in vectors})
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-        raise EmbeddingDimMismatch(f"embedder returned vectors of shapes {shapes}")
-    # no texts: the width a query vector will have
-    return np.stack(vectors) if vectors else np.zeros((0, np.size(embedder(""))))
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -322,7 +318,9 @@ def _dense_scores(index: QuestionIndex, query: str, k: int) -> tuple[np.ndarray,
     a float32 screen of every row, then a rescoring of the rows within its error margin."""
     vector = index.embed_query(query)
     rows = np.arange(len(index.keys))
-    if k < len(rows):
+    if not vector.any():  # every row scores 0, so the first k by key are the top k
+        rows = rows[:k]
+    elif k < len(rows):
         screened = index.screen @ vector.astype(np.float32)
         kth = -np.partition(-screened, k - 1)[k - 1]  # from the low end, as _top_k
         rows = np.flatnonzero(screened >= kth - _screen_margin(len(vector)))
@@ -373,8 +371,8 @@ def _credit(index: QuestionIndex, hits: Sequence[RetrievalHit]) -> tuple[dict, d
     rows = np.searchsorted(index.keys, qids)
     if not np.array_equal(index.keys[rows[rows < len(index.keys)]], qids):
         raise KeyError(f"hits the index lacks among {qids}")
-    for row, hit in zip(rows.tolist(), hits):
-        for col in cols[offsets[row]:offsets[row + 1]]:
+    for start, end, hit in zip(offsets[rows].tolist(), offsets[rows + 1].tolist(), hits):
+        for col in cols[start:end].tolist():
             counts[col] = counts.get(col, 0) + 1
             if col not in best or hit.score > best[col]:
                 best[col] = hit.score

@@ -255,9 +255,11 @@ def test_retrieve_direct_reads_only_the_corpus(tmp_path):
     assert (tmp_path / "no_db.jsonl").read_bytes() == (tmp_path / "results.jsonl").read_bytes()
 
 
-def test_retrieve_direct_refuses_embeddings(tmp_path, capsys):
-    config = tmp_path / "direct.txt"
-    config.write_text("retrieval_method = direct\n")
+@pytest.mark.parametrize("method", ["direct", "count", "max"])
+def test_retrieve_refuses_unread_embeddings(tmp_path, capsys, method):
+    # only dense max and count read question vectors; sparse ones were loaded unread
+    config = tmp_path / "run.txt"
+    config.write_text(f"retrieval_method = {method}\n")
     extra = ["--corpus", str(DATA / "corpus.jsonl"), "--embeddings", str(tmp_path / "q.qvec")]
     assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl", *extra, config=config) == 2
     err = capsys.readouterr().err
@@ -322,10 +324,12 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     queries = tmp_path / "queries.jsonl"
     queries.write_text(json.dumps({"query_id": "q1", "question": "where?"}) + "\n")
     db, named, extra = _db(tmp_path), queries, []
+    dense = tmp_path / "dense.txt"
+    dense.write_text("retrieval_mode = dense\nembedding_dim = 64\n")
     if case == "bad_embeddings":
         named = tmp_path / "vectors.bin"
         named.write_bytes(b"not an embedding file")
-        extra = ["--embeddings", str(named)]
+        extra = ["--embeddings", str(named), "--config", str(dense)]
     elif case == "number_query":
         queries.write_text("42\n")
     elif case == "non_string_question":
@@ -338,9 +342,7 @@ def test_retrieve_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         if case == "nonfinite_embeddings":
             vectors[1:3, 0] = np.nan, np.inf
         retrieval.save_vectors(str(named), vectors)
-        config = tmp_path / "dense.txt"
-        config.write_text("retrieval_mode = dense\nembedding_dim = 64\n")
-        extra = ["--embeddings", str(named), "--config", str(config)]
+        extra = ["--embeddings", str(named), "--config", str(dense)]
     if case.startswith("coverage_"):
         code = main(["coverage", "--db", str(db), "--gold", str(DATA / "gold.jsonl")])
     else:
@@ -500,6 +502,47 @@ def test_checkpoint_question_without_question_mark_exits_2(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'run.ckpt'}: line 1: candidate question must end")
+
+
+def _build_db(corpus, checkpoint, tmp_path):
+    return ["build-db", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+            "--db", str(tmp_path / "o.qadb")]
+
+
+def _nul_id_corpus(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": pid, "title": "t", "text": "alpha beta"}) + "\n"
+                              for pid in ("p", "p\u0000")))
+    args = _build_db(corpus, tmp_path / "run.ckpt", tmp_path)
+    return args, f"{corpus}: line 2: passage id 'p\\x00' holds U+0000"
+
+
+def _nul_id_database(tmp_path):
+    db = _edited_fixture_db(tmp_path, lambda record: record["answers"][0]["passage_ids"].append(
+        record["answers"][0]["passage_ids"][-1] + "\u0000"))
+    args = ["retrieve", "--db", str(db), "--queries", str(DATA / "queries.jsonl"),
+            "--out", str(tmp_path / "r.jsonl")]
+    return args, f"{db}: line 2: a passage id holding U+0000"
+
+
+def _nul_id_checkpoint(tmp_path):
+    checkpoint = tmp_path / "run.ckpt"
+    args = _build_db(DATA / "corpus.jsonl", checkpoint, tmp_path)
+    assert main(args) == 0
+    first, *rest = checkpoint.read_text().splitlines(keepends=True)
+    row = json.loads(first)
+    row["records"][0]["passage_id"] = "not-in-corpus\u0000"  # was merged into the database
+    checkpoint.write_text(json.dumps(row) + "\n" + "".join(rest))
+    return args, f"{checkpoint}: line 1: not a checkpoint row of this corpus"
+
+
+@pytest.mark.parametrize("make_input", [_nul_id_corpus, _nul_id_database, _nul_id_checkpoint])
+def test_nul_in_a_passage_id_exits_2_naming_file_and_line(tmp_path, capsys, make_input):
+    # numpy's str arrays strip a trailing U+0000, so two ids could become one
+    args, message = make_input(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

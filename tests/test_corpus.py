@@ -58,6 +58,12 @@ def test_passage_rejects_empty_text():
         assert Passage(id="p", title="t", text=text).text == text
 
 
+def test_passage_rejects_an_id_holding_nul():
+    for pid in ["p\0", "\0", "a\0b"]:
+        with pytest.raises(ValueError, match=r"holds U\+0000"):
+            Passage(id=pid, title="t", text="x")
+
+
 def _lines(*records):
     return [json.dumps(r) for r in records]
 

@@ -5,6 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fixtures import (
     build_db,
@@ -18,7 +19,7 @@ from oracles import bm25_scores_direct, count_aggregation_oracle, max_aggregatio
 from qadb import retrieval
 from qadb.corpus import Corpus, Passage
 from qadb.database import AnswerEntry, MergedQuestion, QADatabase
-from qadb.errors import EmbeddingDimMismatch, ModeUnavailable
+from qadb.errors import ContractViolation, EmbeddingDimMismatch, ModeUnavailable
 from qadb.retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -86,6 +87,15 @@ def test_question_passage_table_is_each_questions_provenance():
             merged += len(question.passage_ids) > 1
         assert index.passages == sorted({pid for q in db.questions for pid in q.passage_ids})
     assert merged > 0  # questions merged from 2-3 passages are among the instances
+
+
+@given(st.sets(st.text(st.characters(exclude_categories=(), exclude_characters="\0")), max_size=8))
+def test_index_arrays_round_trips_every_id_without_nul(ids):
+    # numpy's str arrays strip trailing U+0000, which the corpus and the database refuse
+    ids = sorted(ids)
+    arrays = index_arrays(ids, ["text"] * len(ids), [{pid} for pid in ids], k1=DEFAULT_K1, b=DEFAULT_B)
+    assert arrays["keys"].tolist() == ids == arrays["passages"].tolist()
+    assert arrays["passage_cols"].tolist() == list(range(len(ids)))
 
 
 def test_index_arrays_rejects_sources_of_another_length():
@@ -266,6 +276,7 @@ def test_dense_zero_query_vector_orders_by_key_alone():
     index = QuestionIndex(_arrays(keys, texts), hashing_embedder(dim=16, seed=1))
     assert not index.embed_query("?!").any()
     for k in (1, 7, 60, 61):
+        assert len(retrieval._dense_scores(index, "?!", k)[0]) <= k  # no row is screened
         hits = _hit_tuples(index, "?!", k, "dense")
         assert hits == _full_sort(index, "?!", k, "dense")
         assert [qid for qid, _, _ in hits] == sorted(keys)[:k]
@@ -599,7 +610,13 @@ def test_non_finite_vectors_are_refused(source):
         if source == "embedder":
             QuestionIndex(arrays, lambda text: vectors["abc".index(text)] if text else vectors[0])
         else:
-            QuestionIndex(arrays, dense_vectors=vectors.astype(source))
+            QuestionIndex(arrays, lambda text: np.zeros(2), dense_vectors=vectors.astype(source))
+
+
+def test_dense_vectors_without_a_query_embedder_are_refused():
+    # no dense query could read them, so they are refused at construction
+    with pytest.raises(ContractViolation, match="without a query embedder"):
+        QuestionIndex(_arrays([0, 1], ["a", "b"]), dense_vectors=np.ones((2, 4)))
 
 
 def test_open_index_refuses_non_finite_vectors_without_a_rebuild(tmp_path, monkeypatch):
@@ -652,6 +669,32 @@ def test_image_round_trips_every_array(tmp_path, monkeypatch, n_questions):
     for mode in ("sparse", "dense"):
         assert _answers(warm, queries, mode) == _answers(cold, queries, mode)
     assert bool(n_questions) == any(_answers(warm, queries))
+
+
+def test_built_and_opened_indexes_hold_the_passage_table_as_arrays(tmp_path):
+    path = tmp_path / "db.qadb"
+    random_database(random.Random(8), 10, 40).save(path)
+    for index in (build_index(QADatabase.load(path)), open_index(path), open_index(path)):
+        assert isinstance(index.passage_offsets, np.ndarray), type(index.passage_offsets)
+        assert isinstance(index.passage_cols, np.ndarray), type(index.passage_cols)
+
+
+def test_an_opened_index_reads_only_the_members_its_mode_needs(tmp_path, monkeypatch):
+    path = tmp_path / "db.qadb"
+    random_database(random.Random(9), 10, 40).save(path)
+    n_questions = len(open_index(path).keys)  # writes the image
+    read = []
+    member = np.lib.npyio.NpzFile.__getitem__
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                        lambda self, name: read.append(name) or member(self, name))
+    queries = ["generated question number 3", "number 1 7"]
+    _answers(open_index(path), queries)
+    assert "weights" in read and not {"text_utf8", "text_offsets"} & set(read)
+    read.clear()
+    vectors = np.ones((n_questions, 8), dtype=np.float32)
+    _answers(open_index(path, hashing_embedder(8), dense_vectors=vectors), queries, "dense")
+    assert "keys" in read
+    assert not {"text_utf8", "text_offsets", "vocab", "offsets", "rows", "weights", "size"} & set(read)
 
 
 def _other_database(tmp_path, path):
