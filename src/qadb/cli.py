@@ -105,24 +105,7 @@ def cmd_build_db(args) -> int:
     return 0
 
 
-def _reuse_freed_memory() -> None:
-    """Keep glibc from unmapping freed blocks of up to 32 MB. Until a process
-    frees one that large, every freed block over 128 KB goes back to the
-    system, so with an index loaded rather than built each query's megabyte
-    temporaries fault in fresh pages (slow sparse queries took twice as long)."""
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    except (OSError, AttributeError):  # not glibc
-        pass
-
-
 def cmd_retrieve(args) -> int:
-    _reuse_freed_memory()
     config = _load_config(args)
     if config.retrieval_method not in ("max", "count", "direct"):
         raise _CliError(2, f"unknown retrieval method: {config.retrieval_method}")

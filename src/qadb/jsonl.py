@@ -32,7 +32,8 @@ def parse_lines(
 ) -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, record)`` per non-blank line; bad lines raise ``error``.
 
-    So does text that is not UTF-8, which ``lines`` raises while decoding.
+    So does text that is not UTF-8, which ``lines`` raises while decoding,
+    and a string escape such as ``"\\ud800"`` that UTF-8 cannot encode.
     """
     prefix = f"{source}: " if source else ""
     try:
@@ -45,6 +46,12 @@ def parse_lines(
                 raise error(f"{prefix}line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise error(f"{prefix}line {lineno}: record is not an object")
+            if "\\u" in line:  # only an escape can decode to a lone surrogate
+                try:
+                    dumps(record).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise error(f"{prefix}line {lineno}: a lone surrogate escape "
+                                f"({exc.object[exc.start]!a}) is not text") from exc
             yield lineno, record
     except UnicodeDecodeError as exc:
         raise error(f"{prefix}not UTF-8 text ({exc.reason})") from exc

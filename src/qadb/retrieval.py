@@ -68,6 +68,12 @@ class PassageScore:
     method: str
 
 
+def _records(rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    found = np.empty(len(rows), dtype=[("row", np.intp), ("score", np.float64)])
+    found["row"], found["score"] = rows, scores
+    return found
+
+
 class _Bm25:
     """Impact-ordered BM25 index with the non-negative idf variant.
 
@@ -76,12 +82,25 @@ class _Bm25:
     with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). Every term is
     precomputed at build (Lin & Trotman, ICTIR 2015): token ``vocab[t]``
     owns the ascending ``rows[offsets[t]:offsets[t + 1]]`` and their ``weights``.
+
+    A top-k query splits its tokens as MaxScore does (Turtle & Flood, IP&M
+    1995): a token in more than a quarter of the rows ("what", "is", "the"
+    and "of" in every generated question) is non-essential, and its largest
+    weight, ``peaks[t]``, bounds what it adds to any row. Only rows holding an
+    essential token are scored; the result stands when the k-th of them
+    beats every row holding non-essential tokens alone, and otherwise every
+    row is scored. Both paths add the same weights in the same order, so
+    they give the same scores to the last bit.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         self.token_ids = {token: t for t, token in enumerate(arrays["vocab"].tolist())}
         self.offsets, self.rows, self.weights = arrays["offsets"], arrays["rows"], arrays["weights"]
         self.size = int(arrays["size"])
+        # each token's largest weight (every token owns a row), at least the 0.0 a row
+        # lacking it adds, as a b outside [0, 1] can make weights negative
+        peaks = np.maximum.reduceat(self.weights, self.offsets[:-1]) if len(self.weights) else []
+        self.peaks = np.maximum(peaks, 0.0).tolist()
 
     @staticmethod
     def build(docs: Iterable[list[str]], k1: float, b: float) -> dict[str, np.ndarray]:
@@ -107,21 +126,55 @@ class _Bm25:
                 "rows": rows.astype(np.int32), "size": np.array(n),
                 "weights": idf[tokens] * tf * (k1 + 1) / (tf + norm)}
 
-    def scores(self, query_tokens: Sequence[str]) -> np.ndarray:
-        """``(row, score)`` records of the documents scoring > 0, by row.
+    def scores(self, query_tokens: Sequence[str], k: int | None = None) -> np.ndarray:
+        """``(row, score)`` records of the documents scoring > 0, by row; given ``k``,
+        possibly only those of them that hold an essential token, a set whose top k,
+        ties included, is the top k of all.
 
         ``np.bincount`` adds the weights in query-token order, repeats
         included, so each sum rounds as a term-at-a-time loop's does.
         """
-        spans = [slice(self.offsets[t], self.offsets[t + 1])
-                 for t in map(self.token_ids.get, query_tokens) if t is not None]
+        ids = [t for t in map(self.token_ids.get, query_tokens) if t is not None]
+        spans = [slice(self.offsets[t], self.offsets[t + 1]) for t in ids]
+        if k is not None:
+            pruned = self._pruned(ids, spans, k)
+            if pruned is not None:
+                return pruned
         acc = np.bincount(np.concatenate([self.rows[:0], *(self.rows[s] for s in spans)]),
                           np.concatenate([self.weights[:0], *(self.weights[s] for s in spans)]),
                           minlength=self.size)
         rows = np.flatnonzero(acc > 0.0)
-        found = np.empty(len(rows), dtype=[("row", np.intp), ("score", np.float64)])
-        found["row"], found["score"] = rows, acc[rows]
-        return found
+        return _records(rows, acc[rows])
+
+    def _pruned(self, ids: list[int], spans: list[slice], k: int) -> np.ndarray | None:
+        """The rows holding an essential token, with their full scores, if the k-th best
+        of them beats every other row; None when that is not shown.
+
+        Each candidate adds every query token's weight in query-token order, starting
+        from 0.0, as ``np.bincount`` does; a token it lacks adds 0.0, which changes no
+        sum. A row outside the candidates holds non-essential tokens only, so at each
+        step it adds at most that token's peak. Round-to-nearest addition is
+        non-decreasing in each operand, so by induction its score is at most ``bound``,
+        the peaks added in the same order. A k-th score above ``bound`` is then
+        neither reached nor tied by any row outside the candidates.
+        """
+        common = [4 * (s.stop - s.start) > self.size for s in spans]
+        if all(common) or not any(common):  # no essential token, or nothing to prune
+            return None
+        rows = np.unique(np.concatenate([self.rows[s] for s, c in zip(spans, common) if not c]))
+        if len(rows) < k:
+            return None
+        scores, bound = np.zeros(len(rows)), 0.0
+        for t, s, c in zip(ids, spans, common):
+            postings = self.rows[s]
+            at = np.minimum(np.searchsorted(postings, rows), len(postings) - 1)
+            scores += np.where(postings[at] == rows, self.weights[s][at], 0.0)
+            if c:
+                bound += self.peaks[t]
+        if not -np.partition(-scores, k - 1)[k - 1] > bound:
+            return None
+        keep = scores > 0.0
+        return _records(rows[keep], scores[keep])
 
 
 class QuestionIndex:
@@ -349,7 +402,7 @@ def retrieve_questions(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if mode == SPARSE:
-        found = index.sparse.scores(tokenize(query))
+        found = index.sparse.scores(tokenize(query), k)
         rows, scores = found["row"], found["score"]
     elif mode == DENSE:
         rows, scores = _dense_scores(index, query, k)

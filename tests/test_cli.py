@@ -422,6 +422,23 @@ def test_parse_errors_name_file_and_line(tmp_path, capsys, role, record):
     assert err.startswith(f"error: {path}: line 2: invalid JSON") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("role", ["corpus", "queries", "gold"])
+def test_lone_surrogate_escape_exits_2_naming_file_and_line(tmp_path, capsys, role):
+    path = tmp_path / f"{role}.jsonl"
+    path.write_text('{"id": "\\ud800", "title": "a", "text": "alpha"}\n')
+    assert _run_reading(role, path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 1: a lone surrogate") and err.count("\n") == 1
+    assert not (tmp_path / "o.qadb").exists()
+
+
+def test_escaped_surrogate_pair_in_a_corpus_builds(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "\\ud83d\\ude00#0", "title": "Smile", "text": "Alder Bridge opened."}\n')
+    assert _run_reading("corpus", corpus, tmp_path) == 0
+    assert "\U0001f600#0" in (tmp_path / "o.qadb").read_text(encoding="utf-8")
+
+
 def test_unknown_config_key_exits_2_naming_file_and_line(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# comment\ntop_n = 5\ncolour = blue\n")

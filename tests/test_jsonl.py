@@ -62,3 +62,18 @@ def test_text_that_is_not_utf8_raises_the_callers_error(tmp_path):
         list(jsonl.read(path, CorruptDatabase))
     with pytest.raises(ParseError, match=f"^{path}: not UTF-8 text"):
         jsonl.open_log(path)
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\udfff x", "\\ude00\\ud83d"])
+def test_a_lone_surrogate_escape_raises_the_callers_error(escape):
+    # json.loads decodes it to a str that UTF-8 cannot encode, so no write could save it
+    lines = ['{"a": 1}', '{"id": "%s", "text": "t"}' % escape]
+    with pytest.raises(CorruptDatabase, match=r"^db.qadb: line 2: a lone surrogate escape"):
+        list(jsonl.parse_lines(lines, "db.qadb", CorruptDatabase))
+    with pytest.raises(ParseError, match=r"^line 1: a lone surrogate"):
+        list(jsonl.parse_lines(['{"%s": 1}' % escape]))
+
+
+def test_an_escaped_surrogate_pair_loads_as_its_character():
+    lines = ['{"id": "\\ud83d\\ude00", "text": "C:\\\\users"}']
+    assert list(jsonl.parse_lines(lines)) == [(1, {"id": "\U0001f600", "text": "C:\\users"})]

@@ -5,7 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fixtures import (
     build_db,
@@ -401,6 +401,90 @@ def test_bm25_scores_are_exactly_the_positive_rows():
         assert len(found) == len(positive)
         # the oracle adds the same terms in the same order: equal to the last bit
         assert found["score"].tolist() == [oracle[i] for i in positive]
+
+
+# ------------------------------------------------------------- pruned sparse path
+
+
+def _top_records(found, k):
+    return found[retrieval._top_k(found["score"], k)].tolist()
+
+
+def _assert_top_k_as_bincount(index, query, k):
+    """The top k of ``scores(tokens, k)``, bit for bit those of the full bincount;
+    returns how many rows ``scores(tokens, k)`` scored."""
+    tokens = tokenize(query)
+    pruned, full = index.sparse.scores(tokens, k), index.sparse.scores(tokens)
+    assert _top_records(pruned, k) == _top_records(full, k)
+    assert _hit_tuples(index, query, k, "sparse") == _full_sort(index, query, k, "sparse")
+    return len(pruned)
+
+
+def _weighted_index(common_weights):
+    """Eight rows: 'what' in rows 0-5 with ``common_weights``, essential 'rare' in rows 0
+    and 5 weighing 2.0 and 1.0, and 'x' in rows 6-7."""
+    arrays = _arrays(range(8), ["what rare", "what", "what", "what", "what", "what rare", "x", "x"])
+    assert arrays["vocab"].tolist() == ["what", "rare", "x"]
+    arrays["weights"] = np.array([*common_weights, 2.0, 1.0, 1.0, 1.0])
+    return QuestionIndex(arrays)
+
+
+def test_pruning_falls_back_when_a_row_of_common_tokens_alone_ties_the_kth():
+    # row 5, a candidate, scores 1.0 + 1.0; row 1 holds only 'what', worth 2.0
+    index = _weighted_index([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+    assert index.sparse.peaks[0] == 2.0
+    assert len(index.sparse.scores(["what", "rare"], 2)) == 6  # every row scored
+    assert _hit_tuples(index, "what rare", 2, "sparse") == [(0, 3.0, 1), (1, 2.0, 2)]
+    _assert_top_k_as_bincount(index, "what rare", 2)
+    # a common weight of 1.5 cannot tie, so only the two candidates are scored
+    index = _weighted_index([1.0, 1.5, 1.0, 1.0, 1.0, 1.0])
+    assert _assert_top_k_as_bincount(index, "what rare", 2) == 2
+    assert _hit_tuples(index, "what rare", 2, "sparse") == [(0, 3.0, 1), (5, 2.0, 2)]
+    # a repeated common token counts twice in the bound: row 1 ties row 5 at 3.0
+    assert _assert_top_k_as_bincount(index, "what what rare", 2) == 6
+    assert _hit_tuples(index, "what what rare", 2, "sparse") == [(0, 4.0, 1), (1, 3.0, 2)]
+
+
+def _common_corpus(n=40):
+    """'what is the' in every text; 'of' in every other; one of 10 topics each."""
+    return [f"what is the {'of ' * (i % 2)}topic{i % 10} item{i}" for i in range(n)]
+
+
+def test_pruning_adds_repeated_query_tokens_as_the_bincount_does():
+    index = QuestionIndex(_arrays(range(40), _common_corpus()))
+    for query in ("what topic3 what topic3 of topic3", "of of topic1 the topic2 item12 is"):
+        assert _assert_top_k_as_bincount(index, query, 4) < 40
+
+
+def test_pruning_falls_back_without_an_essential_token_or_enough_candidates():
+    index = QuestionIndex(_arrays(range(40), _common_corpus()))
+    for query, k in (("what is the of", 3), ("the what unseen", 3), ("what topic4", 5)):
+        # no essential token, or 'topic4' in 4 rows only: every positive row is scored
+        assert _assert_top_k_as_bincount(index, query, k) == 40
+    assert _assert_top_k_as_bincount(index, "what topic4", 4) == 4
+
+
+@pytest.mark.parametrize("texts", [[], ["what is it?"]])
+def test_pruning_on_an_empty_and_a_one_question_index(texts):
+    index = QuestionIndex(_arrays(range(len(texts)), texts))
+    assert len(index.sparse.peaks) == len(index.sparse.token_ids)
+    for query in ("what", "what is", "unseen", ""):
+        assert _assert_top_k_as_bincount(index, query, 1) == len(index.sparse.scores(tokenize(query)))
+
+
+_COMMON, _RARE = ["what", "is", "the", "of"], ["alpha", "beta", "gamma", "delta", "eta"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(st.tuples(st.sets(st.sampled_from(_COMMON)),
+                               st.lists(st.sampled_from(_RARE), max_size=3)), min_size=1, max_size=40),
+       query=st.lists(st.sampled_from(_COMMON + _RARE + ["unseen"]), max_size=7),
+       k=st.integers(1, 45))
+def test_pruned_top_k_is_the_bincount_top_k(docs, query, k):
+    # 'what' is in every text, and the other common words in more than a quarter of most
+    texts = [" ".join(["what", *sorted(common), *rare]) for common, rare in docs]
+    index = QuestionIndex(_arrays(range(len(texts)), texts))
+    _assert_top_k_as_bincount(index, " ".join(query), k)
 
 
 # ------------------------------------------------------------- aggregation
