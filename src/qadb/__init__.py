@@ -13,7 +13,6 @@ from .backend import (
     StubBackend,
 )
 from .construction import (
-    CandidateQA,
     FunnelReport,
     PipelineConfig,
     Rejection,
@@ -25,6 +24,7 @@ from .construction import (
 from .corpus import Corpus, Passage, chunk_document, ingest_passages, load_corpus, save_corpus
 from .database import (
     AnswerEntry,
+    CandidateQA,
     MergedQuestion,
     QADatabase,
     merge_questions,

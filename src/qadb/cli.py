@@ -122,7 +122,7 @@ def cmd_retrieve(args) -> int:
         if not args.corpus:
             raise _CliError(2, "direct method needs --corpus to build the passage index")
         corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
-        index = retrieval.build_passage_index(corpus, embedder, k1=config.bm25_k1, b=config.bm25_b)
+        index = retrieval.build_passage_index(corpus, embedder)
     else:
         if not args.db:
             raise _CliError(2, f"the {config.retrieval_method} method needs --db")
@@ -135,9 +135,7 @@ def cmd_retrieve(args) -> int:
             except ValueError as exc:
                 raise _CliError(2, str(exc)) from exc
         try:
-            index = retrieval.open_index(
-                args.db, embedder, k1=config.bm25_k1, b=config.bm25_b, dense_vectors=dense_vectors
-            )
+            index = retrieval.open_index(args.db, embedder, dense_vectors=dense_vectors)
         except (EmbeddingDimMismatch, NonFiniteVectors) as exc:  # never from the hashing embedder
             raise _CliError(2, f"--embeddings {args.embeddings}: {exc}") from exc
     if config.retrieval_mode == "sparse":
@@ -226,11 +224,8 @@ def cmd_eval(args) -> int:
         overlap = {e.query_id for e in examples} & set(retrieved_texts)
         if not overlap:
             raise _CliError(2, "no overlapping query ids between results and gold")
-        report = evaluate_retrieval_recall(
-            retrieved_texts, examples, ks=config.recall_ks,
-            multi_answer_only=config.multi_answer_only,
-        )
-    elif args.task == "longform":
+        report = evaluate_retrieval_recall(retrieved_texts, examples, ks=config.recall_ks)
+    else:  # longform; argparse admits no other task
         rows = _read_jsonl(args.results, "predictions", {"query_id": (str, int), "output": str})
         predictions = {str(row["query_id"]): row["output"] for row in rows}
         overlap = {e.query_id for e in examples} & set(predictions)
@@ -238,8 +233,6 @@ def cmd_eval(args) -> int:
             raise _CliError(2, "no overlapping query ids between predictions and gold")
         report = evaluate_longform(predictions, examples, _make_backend(config),
                                    backend_label=config.backend_endpoint or "stub")
-    else:
-        raise _CliError(2, f"unknown eval task: {args.task}")
 
     for message in report.warnings:
         _warn(message)

@@ -28,11 +28,8 @@ class RunConfig:
     retrieval_method: str = "count"
     k_questions: int = 50
     top_n: int = 10
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
     embedding_dim: int = 64
     recall_ks: tuple[int, ...] = (1, 5, 10)
-    multi_answer_only: bool = True
     # construction / revision
     beam: int = 32
     max_revision_rounds: int = 2
@@ -86,17 +83,8 @@ class RunConfig:
 
 
 def _coerce(text: str, template: object):
-    if isinstance(template, bool):
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
     if isinstance(template, int):
         return int(text)
-    if isinstance(template, float):
-        return float(text)
     if isinstance(template, tuple):
         return tuple(int(part.strip()) for part in text.split(",") if part.strip())
     return text

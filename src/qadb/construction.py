@@ -28,7 +28,7 @@ from .backend import (
     reading_qa_prompt,
 )
 from .corpus import Corpus, Passage
-from .database import QADatabase, merge_questions
+from .database import CandidateQA, QADatabase, merge_questions
 from .errors import ParseError
 from .metrics import normalize_answer
 
@@ -41,26 +41,6 @@ REJECT_ANSWER_MISMATCH = "answer_mismatch"
 REJECT_EMPTY_QUESTION = "empty_question"
 
 _QG_OUTPUT = re.compile(r"^answer:\s*(.*?)\s*question:\s*(.*)$", re.DOTALL)
-
-
-@dataclass(frozen=True)
-class CandidateQA:
-    passage_id: str
-    answer: str
-    question: str
-    verified: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.question.strip() or not self.question.strip().endswith("?"):
-            raise ValueError(f"candidate question must end with '?': {self.question!r}")
-
-    def to_record(self) -> dict:
-        return {
-            "passage_id": self.passage_id,
-            "answer": self.answer,
-            "question": self.question,
-            "verified": self.verified,
-        }
 
 
 @dataclass(frozen=True)

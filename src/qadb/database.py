@@ -36,6 +36,29 @@ def question_merge_key(question: str) -> str:
 
 
 @dataclass(frozen=True)
+class CandidateQA:
+    """One (question, answer, passage) record, as construction and ``flatten``
+    write them and ``merge_questions`` reads them."""
+
+    passage_id: str
+    answer: str
+    question: str
+    verified: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.question.strip() or not self.question.strip().endswith("?"):
+            raise ValueError(f"candidate question must end with '?': {self.question!r}")
+
+    def to_record(self) -> dict:
+        return {
+            "passage_id": self.passage_id,
+            "answer": self.answer,
+            "question": self.question,
+            "verified": self.verified,
+        }
+
+
+@dataclass(frozen=True)
 class AnswerEntry:
     """One unique answer of a merged question.
 
@@ -142,10 +165,8 @@ class QADatabase:
                     matched += 1
         return matched / total
 
-    def flatten(self) -> list["CandidateQA"]:
+    def flatten(self) -> list[CandidateQA]:
         """Expand back to verified candidate records; re-merging reproduces self."""
-        from .construction import CandidateQA  # circular at import time only
-
         records = []
         for question in self.questions:
             for entry in question.answers:

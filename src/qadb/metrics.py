@@ -194,14 +194,6 @@ def edit_f1(original_question: str, revised_prediction: str, revised_gold: str) 
     return 100.0 * 2 * precision * recall / (precision + recall)
 
 
-def mean_word_count(outputs: Iterable[str]) -> float:
-    """LEN metric: mean whitespace word count."""
-    counts = [len(text.split()) for text in outputs]
-    if not counts:
-        return 0.0
-    return sum(counts) / len(counts)
-
-
 @dataclass(frozen=True)
 class EvalExample:
     """One gold evaluation item: a question with its multi-answer annotations."""
@@ -304,8 +296,9 @@ def evaluate_longform(
         if "rouge_l" in row and "disambig_f1" in row:
             row["dr"] = dr_score(row["rouge_l"], row["disambig_f1"])
         report.per_query[example.query_id] = row
+    known = {e.query_id for e in examples}
     for query_id in predictions:
-        if not any(e.query_id == query_id for e in examples):
+        if query_id not in known:
             report.warnings.append(f"prediction for unknown query {query_id}")
     for metric in ("rouge_l", "str_em", "disambig_f1", "LEN"):
         report.macro[metric] = _macro(report.per_query, metric)
@@ -320,12 +313,11 @@ def evaluate_retrieval_recall(
     retrieved_texts: dict[str, list[str]],
     examples: Sequence[EvalExample],
     ks: Sequence[int] = (1, 5, 10),
-    multi_answer_only: bool = True,
 ) -> EvalReport:
     """Answer recall@k of ranked passage texts, macro-averaged over queries.
 
-    With ``multi_answer_only`` (the default), queries whose gold set has a
-    single unique answer are excluded and reported as warnings.
+    Only multi-answer queries are scored: a query whose gold set has a
+    single unique answer is excluded and reported as a warning.
     """
     report = EvalReport(task="retrieval", config_notes={"ks": ",".join(map(str, ks))})
     for example in examples:
@@ -333,7 +325,7 @@ def evaluate_retrieval_recall(
         if texts is None:
             report.warnings.append(f"no retrieval results for query {example.query_id}")
             continue
-        if multi_answer_only and not example.is_multi_answer:
+        if not example.is_multi_answer:
             report.warnings.append(
                 f"query {example.query_id} excluded: fewer than 2 unique answers"
             )

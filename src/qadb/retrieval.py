@@ -32,8 +32,8 @@ from .corpus import Corpus
 from .database import QADatabase
 from .errors import ContractViolation, EmbeddingDimMismatch, ModeUnavailable, NonFiniteVectors
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+K1 = 1.2  # BM25 constants (Robertson & Zaragoza, 2009)
+B = 0.75
 DEFAULT_QUESTION_FETCH = 50
 IMAGE_VERSION = 2  # bump when tokenize() or the arrays of QuestionIndex change
 
@@ -78,8 +78,9 @@ class _Bm25:
     """Impact-ordered BM25 index with the non-negative idf variant.
 
     score(q, d) = sum over query token occurrences t of
-        idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
-    with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). Every term is
+        idf(t) * tf * (K1 + 1) / (tf + K1 * (1 - B + B * dl / avgdl))
+    with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). As idf > 0, tf >= 1
+    and 0 <= B <= 1, every weight is > 0. Every term is
     precomputed at build (Lin & Trotman, ICTIR 2015): token ``vocab[t]``
     owns the ascending ``rows[offsets[t]:offsets[t + 1]]`` and their ``weights``.
 
@@ -97,13 +98,12 @@ class _Bm25:
         self.token_ids = {token: t for t, token in enumerate(arrays["vocab"].tolist())}
         self.offsets, self.rows, self.weights = arrays["offsets"], arrays["rows"], arrays["weights"]
         self.size = int(arrays["size"])
-        # each token's largest weight (every token owns a row), at least the 0.0 a row
-        # lacking it adds, as a b outside [0, 1] can make weights negative
-        peaks = np.maximum.reduceat(self.weights, self.offsets[:-1]) if len(self.weights) else []
-        self.peaks = np.maximum(peaks, 0.0).tolist()
+        # each token's largest weight (every token owns a row)
+        self.peaks = (np.maximum.reduceat(self.weights, self.offsets[:-1]).tolist()
+                      if len(self.weights) else [])
 
     @staticmethod
-    def build(docs: Iterable[list[str]], k1: float, b: float) -> dict[str, np.ndarray]:
+    def build(docs: Iterable[list[str]]) -> dict[str, np.ndarray]:
         """The arrays ``__init__`` reads, for tokenized ``docs``."""
         token_ids: dict[str, int] = {}
         ids, lengths = [], []
@@ -121,10 +121,10 @@ class _Bm25:
         # math.log, not np.log, which may round the last bit differently
         dfs = np.diff(offsets).tolist()
         idf = np.array([math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in dfs])
-        norm = k1 * (1 - b + b * doc_len[rows] / avgdl)
+        norm = K1 * (1 - B + B * doc_len[rows] / avgdl)
         return {"vocab": np.array(list(token_ids), dtype=str), "offsets": offsets,
                 "rows": rows.astype(np.int32), "size": np.array(n),
-                "weights": idf[tokens] * tf * (k1 + 1) / (tf + norm)}
+                "weights": idf[tokens] * tf * (K1 + 1) / (tf + norm)}
 
     def scores(self, query_tokens: Sequence[str], k: int | None = None) -> np.ndarray:
         """``(row, score)`` records of the documents scoring > 0, by row; given ``k``,
@@ -153,10 +153,11 @@ class _Bm25:
         Each candidate adds every query token's weight in query-token order, starting
         from 0.0, as ``np.bincount`` does; a token it lacks adds 0.0, which changes no
         sum. A row outside the candidates holds non-essential tokens only, so at each
-        step it adds at most that token's peak. Round-to-nearest addition is
-        non-decreasing in each operand, so by induction its score is at most ``bound``,
-        the peaks added in the same order. A k-th score above ``bound`` is then
-        neither reached nor tied by any row outside the candidates.
+        step it adds that token's weight or 0.0, at most its peak, as every weight is
+        > 0. Round-to-nearest addition is non-decreasing in each operand, so by
+        induction its score is at most ``bound``, the peaks added in the same order.
+        A k-th score above ``bound`` is then neither reached nor tied by any row
+        outside the candidates.
         """
         common = [4 * (s.stop - s.start) > self.size for s in spans]
         if all(common) or not any(common):  # no essential token, or nothing to prune
@@ -229,8 +230,7 @@ class QuestionIndex:
 
 
 def index_arrays(keys: Sequence[int | str], texts: Sequence[str],
-                 sources: Sequence[Collection[str]] | None = None, *,
-                 k1: float, b: float) -> dict[str, np.ndarray]:
+                 sources: Sequence[Collection[str]] | None = None) -> dict[str, np.ndarray]:
     """``QuestionIndex.arrays`` for entries ``keys[i]``, strictly ascending, with ``texts[i]``;
     entry i credits each passage in ``sources[i]`` once, and none without ``sources``."""
     sources = [()] * len(keys) if sources is None else sources
@@ -252,7 +252,7 @@ def index_arrays(keys: Sequence[int | str], texts: Sequence[str],
                                     np.int32, sum(sizes)),
         "text_utf8": np.frombuffer(b"".join(blobs), dtype=np.uint8),
         "text_offsets": np.cumsum([0, *map(len, blobs)]),
-        **_Bm25.build(map(tokenize, texts), k1, b),
+        **_Bm25.build(map(tokenize, texts)),
     }
 
 
@@ -275,23 +275,22 @@ def _norms_and_screen(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, screen
 
 
-def build_index(db: QADatabase, embedder: Embedder | None = None, *, k1: float = DEFAULT_K1,
-                b: float = DEFAULT_B, dense_vectors: np.ndarray | None = None) -> QuestionIndex:
+def build_index(db: QADatabase, embedder: Embedder | None = None, *,
+                dense_vectors: np.ndarray | None = None) -> QuestionIndex:
     """Index a question database; dense vectors only when an embedder is given."""
     questions = db.questions
     # a lone answer's tuple, not a new set per question, spares the GC passes over the database
     sources = [q.answers[0].passage_ids if len(q.answers) == 1 else q.passage_ids
                for q in questions]
-    arrays = index_arrays([q.qid for q in questions], [q.question for q in questions], sources,
-                          k1=k1, b=b)
+    arrays = index_arrays([q.qid for q in questions], [q.question for q in questions], sources)
     return QuestionIndex(arrays, embedder, dense_vectors=dense_vectors)
 
 
-def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: float = DEFAULT_K1,
-               b: float = DEFAULT_B, dense_vectors: np.ndarray | None = None) -> QuestionIndex:
+def open_index(db_path: str | Path, embedder: Embedder | None = None, *,
+               dense_vectors: np.ndarray | None = None) -> QuestionIndex:
     """The index of the database file ``db_path``, kept in its image ``<db_path>.index.npz``.
 
-    The image is keyed by the database bytes, ``k1``, ``b`` and ``IMAGE_VERSION``.
+    The image is keyed by the database bytes, the BM25 constants and ``IMAGE_VERSION``.
     One that is missing, of another key or unreadable is never read: the index
     is built from the database and the image replaced, or a warning says it was not.
     """
@@ -300,7 +299,8 @@ def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: flo
         digest = hashlib.blake2b()
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
-        key = f"qadb index v{IMAGE_VERSION} k1={k1!r} b={b!r} blake2b={digest.hexdigest()}"
+        # the constants stay in the key, so changing one rebuilds every image without a bump
+        key = f"qadb index v{IMAGE_VERSION} k1={K1!r} b={B!r} blake2b={digest.hexdigest()}"
         try:
             with ExitStack() as stack:  # closes the image unless the index returned reads it
                 arrays = np.lib.npyio.NpzFile(stack.enter_context(open(image, "rb")),
@@ -316,7 +316,7 @@ def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: flo
         # Parse the very bytes just hashed, even if the file was replaced since.
         fh.seek(0)
         db = io.TextIOWrapper(fh, encoding="utf-8")
-        index = build_index(QADatabase.load(db), embedder, k1=k1, b=b, dense_vectors=dense_vectors)
+        index = build_index(QADatabase.load(db), embedder, dense_vectors=dense_vectors)
     try:
         with jsonl.replacing(image) as fh:
             np.savez(fh, key=np.array(key), **index.arrays)
@@ -325,11 +325,10 @@ def open_index(db_path: str | Path, embedder: Embedder | None = None, *, k1: flo
     return index
 
 
-def build_passage_index(corpus: Corpus, embedder: Embedder | None = None, *,
-                        k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> QuestionIndex:
+def build_passage_index(corpus: Corpus, embedder: Embedder | None = None) -> QuestionIndex:
     """Passage-text index for the direct retrieval baseline."""
     ids = sorted(corpus.ids)
-    return QuestionIndex(index_arrays(ids, [corpus[pid].text for pid in ids], k1=k1, b=b), embedder)
+    return QuestionIndex(index_arrays(ids, [corpus[pid].text for pid in ids]), embedder)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

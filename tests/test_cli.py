@@ -108,6 +108,17 @@ def test_retrieve_count_matches_oracle_golden_file(tmp_path, monkeypatch):
     assert (tmp_path / "warm.jsonl").read_bytes() == golden
 
 
+def test_committed_fixtures_are_what_make_golden_writes(tmp_path, monkeypatch):
+    import make_golden
+
+    monkeypatch.setattr(make_golden, "DATA", tmp_path)
+    make_golden.main()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in DATA.iterdir())
+    stale = [name for name in written if (tmp_path / name).read_bytes() != (DATA / name).read_bytes()]
+    assert not stale, f"stale fixtures {stale}: regenerate them with python3 tests/make_golden.py"
+
+
 def test_retrieve_with_unwritable_image_warns_and_matches_golden_file(tmp_path, capsys):
     (tmp_path / "fixture.qadb.index.npz").mkdir()  # fails the rename even for root
     assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl") == 0
@@ -440,10 +451,13 @@ def test_escaped_surrogate_pair_in_a_corpus_builds(tmp_path):
 
 
 def test_unknown_config_key_exits_2_naming_file_and_line(tmp_path, capsys):
+    # the BM25 constants and the retrieval eval's multi-answer rule are fixed, not config keys
     config = tmp_path / "run.cfg"
-    config.write_text("# comment\ntop_n = 5\ncolour = blue\n")
-    assert _run_reading("config", config, tmp_path) == 2
-    assert capsys.readouterr().err == f"error: {config}: line 3: unknown config key 'colour'\n"
+    for key, value in [("colour", "blue"), ("bm25_k1", "1.2"), ("bm25_b", "0.75"),
+                       ("multi_answer_only", "true")]:
+        config.write_text(f"# comment\ntop_n = 5\n{key} = {value}\n")
+        assert _run_reading("config", config, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {config}: line 3: unknown config key {key!r}\n"
 
 
 def test_repeated_passage_id_exits_2_naming_file_and_id(tmp_path, capsys):

@@ -16,7 +16,6 @@ from qadb.metrics import (
     evaluate_longform,
     evaluate_retrieval_recall,
     load_examples,
-    mean_word_count,
     normalize_answer,
     rouge_l,
     str_em,
@@ -260,6 +259,19 @@ def test_evaluate_longform_report():
     assert row["disambig_f1"] == 100.0
     assert row["dr"] == dr_score(row["rouge_l"], row["disambig_f1"])
     assert any("q2" in w for w in report.warnings)
+    # LEN: the mean whitespace word count over the scored queries, 0.0 over none
+    assert report.macro["LEN"] == 9.0
+    predictions = {"q1": "one two", "q2": "three four five six"}
+    assert evaluate_longform(predictions, _examples(), backend).macro["LEN"] == 3.0
+    assert evaluate_longform({}, _examples(), backend).macro["LEN"] == 0.0
+
+
+def test_evaluate_longform_warns_of_missing_and_unknown_predictions():
+    predictions = {"zz": "late", "q1": "alpha and beta", "q0": "early"}
+    report = evaluate_longform(predictions, _examples(), TableQABackend({}))
+    assert report.warnings == ["no prediction for query q2", "prediction for unknown query zz",
+                               "prediction for unknown query q0"]
+    assert list(report.per_query) == ["q1"]
 
 
 def test_evaluate_retrieval_excludes_single_answer_queries():
@@ -285,11 +297,6 @@ def test_macro_values_in_convex_hull():
     )
     values = [row["recall@1"] for row in report.per_query.values()]
     assert min(values) <= report.macro["recall@1"] <= max(values)
-
-
-def test_mean_word_count():
-    assert mean_word_count(["one two", "three four five six"]) == 3.0
-    assert mean_word_count([]) == 0.0
 
 
 def test_load_examples_parses_records():

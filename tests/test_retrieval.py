@@ -2,6 +2,7 @@ import hashlib
 import os
 import random
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from qadb.corpus import Corpus, Passage
 from qadb.database import AnswerEntry, MergedQuestion, QADatabase
 from qadb.errors import ContractViolation, EmbeddingDimMismatch, ModeUnavailable
 from qadb.retrieval import (
-    DEFAULT_B,
-    DEFAULT_K1,
     QuestionIndex,
     RetrievalHit,
     build_index,
@@ -43,7 +42,7 @@ from qadb.retrieval import (
 
 
 def _arrays(keys, texts):
-    return index_arrays(keys, texts, k1=DEFAULT_K1, b=DEFAULT_B)
+    return index_arrays(keys, texts)
 
 
 def _small_db():
@@ -93,20 +92,20 @@ def test_question_passage_table_is_each_questions_provenance():
 def test_index_arrays_round_trips_every_id_without_nul(ids):
     # numpy's str arrays strip trailing U+0000, which the corpus and the database refuse
     ids = sorted(ids)
-    arrays = index_arrays(ids, ["text"] * len(ids), [{pid} for pid in ids], k1=DEFAULT_K1, b=DEFAULT_B)
+    arrays = index_arrays(ids, ["text"] * len(ids), [{pid} for pid in ids])
     assert arrays["keys"].tolist() == ids == arrays["passages"].tolist()
     assert arrays["passage_cols"].tolist() == list(range(len(ids)))
 
 
 def test_index_arrays_rejects_sources_of_another_length():
     with pytest.raises(ValueError, match="1 sources for 2 keys"):
-        index_arrays([1, 2], ["a b", "c"], [{"p1"}], k1=DEFAULT_K1, b=DEFAULT_B)
+        index_arrays([1, 2], ["a b", "c"], [{"p1"}])
 
 
 @pytest.mark.parametrize("keys", [[2, 1], [0, 1, 1], ["b", "a"], ["p10", "p9", "p8"]])
 def test_index_arrays_refuses_keys_that_do_not_strictly_ascend(keys):
     with pytest.raises(ValueError, match="keys must ascend"):
-        index_arrays(keys, ["some text"] * len(keys), k1=DEFAULT_K1, b=DEFAULT_B)
+        index_arrays(keys, ["some text"] * len(keys))
 
 
 def test_image_layout_is_pinned_to_its_version():
@@ -401,6 +400,19 @@ def test_bm25_scores_are_exactly_the_positive_rows():
         assert len(found) == len(positive)
         # the oracle adds the same terms in the same order: equal to the last bit
         assert found["score"].tolist() == [oracle[i] for i in positive]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["what", "is", "the", "alpha", "beta", "gamma"]),
+                         max_size=12), max_size=30))
+def test_bm25_weights_are_positive_and_peaks_are_each_tokens_largest(docs):
+    # the MaxScore bound reads a row lacking a non-essential token as adding at most its peak
+    arrays = _arrays(range(len(docs)), [" ".join(doc) for doc in docs])
+    assert (arrays["weights"] > 0.0).all()
+    bm25 = retrieval._Bm25(arrays)
+    offsets = arrays["offsets"].tolist()
+    assert bm25.peaks == [max(arrays["weights"][start:end].tolist())
+                          for start, end in zip(offsets, offsets[1:])]
 
 
 # ------------------------------------------------------------- pruned sparse path
@@ -788,17 +800,13 @@ def _other_database(tmp_path, path):
     shutil.copyfile(tmp_path / "other.qadb.index.npz", f"{path}.index.npz")
 
 
-def _other_k1_b(tmp_path, path):
-    open_index(path, k1=1.5, b=0.5)
-
-
 def _truncated(tmp_path, path):
     open_index(path)
     image = tmp_path / "db.qadb.index.npz"
     image.write_bytes(image.read_bytes()[: image.stat().st_size // 2])
 
 
-@pytest.mark.parametrize("make_foreign", [_other_database, _other_k1_b, _truncated])
+@pytest.mark.parametrize("make_foreign", [_other_database, _truncated])
 def test_foreign_image_is_rebuilt_and_replaced(tmp_path, monkeypatch, make_foreign):
     db = random_database(random.Random(3), 10, 40)
     path = tmp_path / "db.qadb"
@@ -818,6 +826,16 @@ def test_foreign_image_is_rebuilt_and_replaced(tmp_path, monkeypatch, make_forei
         assert np.array_equal(warm.arrays[name], array), name
     queries = ["generated question number 5", "question 12"]
     assert _answers(warm, queries) == _answers(index, queries)
+
+
+def test_image_key_names_the_bm25_constants(tmp_path):
+    # images of another key are rebuilt, so a change here rebuilds every cached image
+    path = tmp_path / "fixture.qadb"
+    shutil.copyfile(Path(__file__).parent / "data" / "fixture.qadb", path)
+    open_index(path)
+    with np.load(f"{path}.index.npz") as image:
+        key = image["key"].item()
+    assert key == f"qadb index v2 k1=1.2 b=0.75 blake2b={hashlib.blake2b(path.read_bytes()).hexdigest()}"
 
 
 def test_database_replaced_while_opening_is_indexed_from_the_bytes_hashed(tmp_path, monkeypatch):
