@@ -14,7 +14,6 @@ from .backend import (
 )
 from .construction import (
     FunnelReport,
-    PipelineConfig,
     Rejection,
     build_database,
     detect_answers,
@@ -74,7 +73,6 @@ __all__ = [
     "MergedQuestion",
     "Passage",
     "PassageScore",
-    "PipelineConfig",
     "QADatabase",
     "QuestionIndex",
     "Rejection",

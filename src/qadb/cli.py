@@ -88,9 +88,8 @@ def cmd_build_db(args) -> int:
     config = _load_config(args)
     corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
     backend = _make_backend(config)
-    pipeline = construction.PipelineConfig(beam=config.beam, checkpoint_path=args.checkpoint)
     with _output_lock(Path(args.db).resolve().parent):
-        db, report = construction.build_database(corpus, backend, pipeline)
+        db, report = construction.build_database(corpus, backend, args.checkpoint)
         db.save(args.db)
         report_payload = {
             "fingerprint": config.fingerprint(),
@@ -107,10 +106,6 @@ def cmd_build_db(args) -> int:
 
 def cmd_retrieve(args) -> int:
     config = _load_config(args)
-    if config.retrieval_method not in ("max", "count", "direct"):
-        raise _CliError(2, f"unknown retrieval method: {config.retrieval_method}")
-    if config.retrieval_mode not in ("sparse", "dense"):
-        raise _CliError(2, f"unknown retrieval mode: {config.retrieval_mode}")
     queries = _read_jsonl(args.queries, "queries", {"query_id": (str, int), "question": str})
 
     embedder = None
@@ -224,7 +219,7 @@ def cmd_eval(args) -> int:
         overlap = {e.query_id for e in examples} & set(retrieved_texts)
         if not overlap:
             raise _CliError(2, "no overlapping query ids between results and gold")
-        report = evaluate_retrieval_recall(retrieved_texts, examples, ks=config.recall_ks)
+        report = evaluate_retrieval_recall(retrieved_texts, examples)
     else:  # longform; argparse admits no other task
         rows = _read_jsonl(args.results, "predictions", {"query_id": (str, int), "output": str})
         predictions = {str(row["query_id"]): row["output"] for row in rows}

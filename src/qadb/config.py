@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError
 
 ENDPOINT_ENV_VAR = "QADB_BACKEND_ENDPOINT"
-_AT_LEAST_ONE = {"k_questions", "top_n", "embedding_dim", "beam", "max_revision_rounds"}
+_AT_LEAST_ONE = {"k_questions", "top_n", "embedding_dim", "max_revision_rounds"}
+_CHOICES = {"retrieval_mode": ("sparse", "dense"), "retrieval_method": ("max", "count", "direct")}
 
 
 @dataclass
@@ -29,9 +30,7 @@ class RunConfig:
     k_questions: int = 50
     top_n: int = 10
     embedding_dim: int = 64
-    recall_ks: tuple[int, ...] = (1, 5, 10)
-    # construction / revision
-    beam: int = 32
+    # revision
     max_revision_rounds: int = 2
     # misc
     seed: int = 0
@@ -62,29 +61,19 @@ class RunConfig:
             if key not in defaults:
                 raise ParseError(f"{path}: line {lineno}: unknown config key {key!r}")
             try:
-                values[key] = _coerce(value, defaults[key])
+                values[key] = int(value) if isinstance(defaults[key], int) else value
                 if key in _AT_LEAST_ONE and values[key] < 1:
                     raise ValueError(f"{key} must be >= 1")
+                if key in _CHOICES and values[key] not in _CHOICES[key]:
+                    raise ValueError(f"{key} must be one of {', '.join(_CHOICES[key])}")
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
         return cls(**values)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return asdict(self)
 
     def fingerprint(self) -> str:
         """Short stable hash of every result-affecting parameter."""
         canonical = "\n".join(f"{k}={v!r}" for k, v in sorted(self.to_dict().items()))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def _coerce(text: str, template: object):
-    if isinstance(template, int):
-        return int(text)
-    if isinstance(template, tuple):
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    return text

@@ -53,12 +53,6 @@ class Rejection:
 
 
 @dataclass
-class PipelineConfig:
-    beam: int = DEFAULT_BEAM
-    checkpoint_path: str | None = None
-
-
-@dataclass
 class FunnelReport:
     """Stage counts of one construction run (the detect/generate/verify funnel)."""
 
@@ -80,16 +74,17 @@ class FunnelReport:
         }
 
 
-def detect_answers(passage: Passage, backend: Backend, beam: int = DEFAULT_BEAM) -> list[str]:
+def detect_answers(passage: Passage, backend: Backend) -> list[str]:
     """Stage 1: propose answer spans from a passage.
 
-    One backend call with beam decoding. Candidates that are not literal
-    substrings of the passage are dropped; candidates identical after
-    normalization are merged, keeping the highest-ranked surface form.
-    Output preserves backend rank order.
+    One backend call for ``DEFAULT_BEAM`` beam-decoded candidates.
+    Candidates that are not literal substrings of the passage are dropped;
+    candidates identical after normalization are merged, keeping the
+    highest-ranked surface form. Output preserves backend rank order.
     """
     [response] = backend.generate_batch(
-        [GenerationRequest(detection_prompt(passage.text), max_candidates=beam, decode_mode=BEAM)]
+        [GenerationRequest(detection_prompt(passage.text), max_candidates=DEFAULT_BEAM,
+                           decode_mode=BEAM)]
     )
     detected = []
     seen: set[str] = set()
@@ -152,10 +147,10 @@ def verify(passage: Passage, candidates: Sequence[CandidateQA], backend: Backend
     ]
 
 
-def _process_passage(passage: Passage, backend: Backend, beam: int) -> dict:
+def _process_passage(passage: Passage, backend: Backend) -> dict:
     """Run the three stages over one passage, one backend call per stage that
     has anything to ask; the result is its checkpoint row."""
-    answers = detect_answers(passage, backend, beam)
+    answers = detect_answers(passage, backend)
     outcomes = generate_question(passage, answers, backend) if answers else []
     candidates = [outcome for outcome in outcomes if isinstance(outcome, CandidateQA)]
     verdicts = verify(passage, candidates, backend) if candidates else []
@@ -182,40 +177,38 @@ def _verified(row: dict) -> list[CandidateQA]:
 
 
 def build_database(
-    corpus: Corpus, backend: Backend, config: PipelineConfig | None = None
+    corpus: Corpus, backend: Backend, checkpoint: str | None = None
 ) -> tuple[QADatabase, FunnelReport]:
     """Run all three stages over a corpus and merge the survivors.
 
-    With a checkpoint path configured, each finished passage appends one
+    With a ``checkpoint`` path, each finished passage appends one
     row (its funnel tallies, rejections and candidate records) to an
     append-only file, and a rerun skips the passages found there. A
     backend failure aborts the run with the checkpoint intact, so the run
     is resumable by passage id; a row torn by a crash is dropped and its
     passage processed again.
     """
-    config = config or PipelineConfig()
-    path = config.checkpoint_path
-    entries, log = jsonl.open_log(path) if path else ([], nullcontext())
+    entries, log = jsonl.open_log(checkpoint) if checkpoint else ([], nullcontext())
     with log:
         rows, verified = [], []
         for lineno, row in entries:
-            jsonl.check(row, _ROW, path, lineno)
+            jsonl.check(row, _ROW, checkpoint, lineno)
             if (row.keys() != _ROW.keys() or row["passage_id"] not in corpus
                     or any(qa["passage_id"] != row["passage_id"] for qa in row["records"])):
-                raise ParseError(f"{path}: line {lineno}: not a checkpoint row of this corpus")
+                raise ParseError(f"{checkpoint}: line {lineno}: not a checkpoint row of this corpus")
             try:
                 verified += _verified(row)
             except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+                raise ParseError(f"{checkpoint}: line {lineno}: {exc}") from exc
             rows.append(row)
         done = {row["passage_id"] for row in rows}
         pending = [p for p in corpus if p.id not in done]
 
         for passage in pending:
-            row = _process_passage(passage, backend, config.beam)
+            row = _process_passage(passage, backend)
             rows.append(row)
             verified += _verified(row)
-            if path:
+            if checkpoint:
                 log.write(jsonl.dumps(row) + "\n")
                 log.flush()
 

@@ -118,12 +118,7 @@ def answer_recall_at_k(retrieved: Sequence[str], gold_answers: Iterable[str], k:
     """
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
-    gold = list(gold_answers)
-    if not gold:
-        raise ContractViolation("answer_recall_at_k requires a non-empty gold answer set")
-    haystack = normalize_answer(" ".join(retrieved[:k]))
-    found = sum(1 for answer in gold if normalize_answer(answer) in haystack)
-    return found / len(gold)
+    return str_em(" ".join(retrieved[:k]), gold_answers)
 
 
 def disambig_f1(

@@ -180,7 +180,7 @@ def test_retrieve_direct_without_corpus_exits_2(tmp_path, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
-def test_retrieve_unknown_method_exits_2(tmp_path):
+def test_retrieve_unknown_method_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.txt"
     config.write_text("retrieval_method = median\n")
     code = main(
@@ -193,6 +193,9 @@ def test_retrieve_unknown_method_exits_2(tmp_path):
         ]
     )
     assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: line 1: retrieval_method must be one of max, count, direct\n"
+    )
 
 
 def test_retrieve_empty_queries_writes_no_records(tmp_path):
@@ -451,10 +454,11 @@ def test_escaped_surrogate_pair_in_a_corpus_builds(tmp_path):
 
 
 def test_unknown_config_key_exits_2_naming_file_and_line(tmp_path, capsys):
-    # the BM25 constants and the retrieval eval's multi-answer rule are fixed, not config keys
+    # the BM25 constants, the retrieval eval's multi-answer rule and recall cut-offs, and the
+    # detection beam are fixed, not config keys
     config = tmp_path / "run.cfg"
     for key, value in [("colour", "blue"), ("bm25_k1", "1.2"), ("bm25_b", "0.75"),
-                       ("multi_answer_only", "true")]:
+                       ("multi_answer_only", "true"), ("beam", "32"), ("recall_ks", "1, 5, 10")]:
         config.write_text(f"# comment\ntop_n = 5\n{key} = {value}\n")
         assert _run_reading("config", config, tmp_path) == 2
         assert capsys.readouterr().err == f"error: {config}: line 3: unknown config key {key!r}\n"
@@ -578,14 +582,33 @@ def test_nul_in_a_passage_id_exits_2_naming_file_and_line(tmp_path, capsys, make
 
 @pytest.mark.parametrize(
     ("key", "value"),
-    [("top_n", -1), ("k_questions", 0), ("beam", 0), ("max_revision_rounds", 0),
-     ("embedding_dim", 0)],
+    [("top_n", -1), ("k_questions", 0), ("max_revision_rounds", 0), ("embedding_dim", 0)],
 )
 def test_config_value_below_one_exits_2(tmp_path, capsys, key, value):
     config = tmp_path / "run.cfg"
     config.write_text(f"seed = 3\n{key} = {value}\n")
     assert _run_reading("config", config, tmp_path) == 2
     assert capsys.readouterr().err == f"error: {config}: line 2: {key} must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    ("key", "value"), [("retrieval_method", "median"), ("retrieval_mode", "Dense")]
+)
+@pytest.mark.parametrize("command", ["retrieve", "build-db"])
+def test_config_value_outside_its_choices_exits_2(tmp_path, capsys, command, key, value):
+    # checked where the config is read, so a command that never uses the key refuses it too
+    choices = {"retrieval_method": "max, count, direct", "retrieval_mode": "sparse, dense"}[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    if command == "retrieve":
+        inputs = ["--db", _db(tmp_path), "--queries", str(DATA / "queries.jsonl"),
+                  "--out", str(tmp_path / "r.jsonl")]
+    else:
+        inputs = ["--corpus", str(DATA / "corpus.jsonl"), "--db", str(tmp_path / "o.qadb")]
+    capsys.readouterr()
+    assert main([command, "--config", str(config), *inputs]) == 2
+    assert capsys.readouterr().err == f"error: {config}: line 1: {key} must be one of {choices}\n"
+    assert not (tmp_path / "r.jsonl").exists() and not (tmp_path / "o.qadb").exists()
 
 
 # ------------------------------------------------------------- eval
@@ -673,13 +696,10 @@ def test_eval_retrieval_recall_monotone(tmp_path):
         )
         == 0
     )
-    config = tmp_path / "eval.txt"
-    config.write_text("recall_ks = 1, 3, 5\n")
     report_path = tmp_path / "report.json"
     code = main(
         [
             "eval",
-            "--config", str(config),
             "--task", "retrieval",
             "--results", str(results),
             "--gold", str(DATA / "gold.jsonl"),
@@ -691,7 +711,7 @@ def test_eval_retrieval_recall_monotone(tmp_path):
     _, per_query = _read_jsonl(tmp_path / "report.json.per_query.jsonl")
     assert per_query, "expected at least one evaluated query"
     for row in per_query:
-        assert row["recall@1"] <= row["recall@3"] <= row["recall@5"]
+        assert row["recall@1"] <= row["recall@5"] <= row["recall@10"]
 
 
 def test_eval_retrieval_excludes_single_answer_queries(tmp_path, capsys):

@@ -10,7 +10,6 @@ from qadb.construction import (
     REJECT_ANSWER_MISMATCH,
     REJECT_UNPARSEABLE,
     CandidateQA,
-    PipelineConfig,
     Rejection,
     build_database,
     detect_answers,
@@ -54,7 +53,7 @@ def test_detect_drops_non_substring_candidates():
 def test_detect_uses_one_beam_call_and_rank_order():
     passage = _passage("Ann Arbor hosts Michigan Stadium crowds.")
     backend = ScriptedBackend([["Michigan Stadium", "Ann Arbor"]])
-    detected = detect_answers(passage, backend, beam=32)
+    detected = detect_answers(passage, backend)
     request = backend.requests[0]
     assert request.decode_mode == "beam"
     assert request.max_candidates == 32
@@ -239,14 +238,12 @@ def test_checkpoint_resume_after_backend_failure(tmp_path, cut):
 
     flaky = FlakyBackend(Rejecting(), marker, fail_times=1)
     with pytest.raises(BackendUnavailable):
-        build_database(corpus, flaky, PipelineConfig(checkpoint_path=str(checkpoint)))
+        build_database(corpus, flaky, checkpoint=str(checkpoint))
     assert checkpoint.exists()
 
     # resume: completed passages are not re-processed
     resumed = Recording(Rejecting())
-    db, report = build_database(
-        corpus, resumed, PipelineConfig(checkpoint_path=str(checkpoint))
-    )
+    db, report = build_database(corpus, resumed, checkpoint=str(checkpoint))
     finished_texts = [p.text for p in list(corpus)[:cut]]
     for prompt in resumed.prompts:
         assert not any(prompt.endswith(text) for text in finished_texts)
@@ -265,18 +262,14 @@ def test_checkpoint_resume_after_backend_failure(tmp_path, cut):
 def test_checkpoint_resume_drops_torn_last_row(tmp_path):
     corpus = make_toy_corpus(6)
     checkpoint = tmp_path / "run.ckpt"
-    clean_db, clean_report = build_database(
-        corpus, Rejecting(), PipelineConfig(checkpoint_path=str(checkpoint))
-    )
+    clean_db, clean_report = build_database(corpus, Rejecting(), checkpoint=str(checkpoint))
     # a crash in the middle of appending the last passage's row
     text = checkpoint.read_text(encoding="utf-8")
     last = text[: -1].rfind("\n") + 1
     checkpoint.write_text(text[: last + (len(text) - last) // 2], encoding="utf-8")
 
     resumed = Recording(Rejecting())
-    db, report = build_database(
-        corpus, resumed, PipelineConfig(checkpoint_path=str(checkpoint))
-    )
+    db, report = build_database(corpus, resumed, checkpoint=str(checkpoint))
     assert resumed.prompts and all(list(corpus)[-1].text in p for p in resumed.prompts)
     assert db == clean_db
     assert report.to_dict() == clean_report.to_dict()
@@ -299,7 +292,7 @@ def test_checkpoint_of_another_layout_or_corpus_is_rejected(tmp_path, row):
     checkpoint = tmp_path / "run.ckpt"
     checkpoint.write_text(json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 1"):
-        build_database(make_toy_corpus(2), STUB, PipelineConfig(checkpoint_path=str(checkpoint)))
+        build_database(make_toy_corpus(2), STUB, checkpoint=str(checkpoint))
 
 
 def test_candidate_question_must_end_with_question_mark():

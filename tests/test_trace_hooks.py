@@ -1,5 +1,6 @@
-"""The benchmark's trace hooks wrap ``qadb`` functions by name; a rename that
-breaks them must fail here, not only in a full benchmark run."""
+"""The benchmark calls ``qadb`` by name: its trace hooks wrap functions, and its
+gen-remote check builds and revises in process. A rename that breaks either
+must fail here, not only in a full benchmark run."""
 
 import json
 import os
@@ -12,6 +13,7 @@ import numpy as np
 
 from fixtures import build_db
 from qadb import QADatabase
+from qadb.cli import main
 from qadb.retrieval import hashing_embedder, save_vectors
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,3 +103,20 @@ def test_trace_hooks_run_every_benchmarked_command(tmp_path):
     # rows are the candidates, where the full accumulate counts all 240
     assert SPARSE <= set(natural["spans"]) and natural["items"] == 1
     assert natural["candidates"] == 52
+
+
+def test_gen_remote_reference_matches_the_stub_cli(tmp_path, monkeypatch):
+    # the reference revise reads RunConfig().max_revision_rounds; the reference
+    # database is build_database(corpus, StubBackend())
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import checks, gen
+
+    inputs = gen.remote_inputs(tmp_path, 5)
+    revisions = checks.reference_revisions(inputs)
+    assert len(revisions) == len(checks.read_jsonl(inputs / "rows.jsonl")) > 0
+    out = tmp_path / "pass"
+    assert main(["build-db", "--corpus", str(inputs / "corpus.jsonl"),
+                 "--db", str(out / "db.qadb"), "--checkpoint", str(out / "run.ckpt")]) == 0
+    assert main(["revise", "--corpus", str(inputs / "corpus.jsonl"),
+                 "--questions", str(inputs / "rows.jsonl"), "--out", str(out / "revised.jsonl")]) == 0
+    assert checks.check_remote_pass(out, inputs, revisions) == []
