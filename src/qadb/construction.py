@@ -15,7 +15,8 @@ import re
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from hashlib import blake2b
 
 from . import jsonl
 from .backend import (
@@ -64,14 +65,7 @@ class FunnelReport:
     rejections: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "passages": self.passages,
-            "detected": self.detected,
-            "generated": self.generated,
-            "verified": self.verified,
-            "unique_questions": self.unique_questions,
-            "rejections": dict(sorted(self.rejections.items())),
-        }
+        return {**asdict(self), "rejections": dict(sorted(self.rejections.items()))}
 
 
 def detect_answers(passage: Passage, backend: Backend) -> list[str]:
@@ -147,6 +141,11 @@ def verify(passage: Passage, candidates: Sequence[CandidateQA], backend: Backend
     ]
 
 
+def _digest(passage: Passage) -> str:
+    text = jsonl.dumps([passage.title, passage.text]).encode("utf-8")
+    return blake2b(text, digest_size=8).hexdigest()
+
+
 def _process_passage(passage: Passage, backend: Backend) -> dict:
     """Run the three stages over one passage, one backend call per stage that
     has anything to ask; the result is its checkpoint row."""
@@ -159,21 +158,29 @@ def _process_passage(passage: Passage, backend: Backend) -> dict:
         logger.debug("rejected answer %r from %s: %s", outcome.answer, passage.id, outcome.reason)
     return {
         "passage_id": passage.id,
+        "digest": _digest(passage),
         "detected": len(answers),
-        "generated": len(candidates),
-        "verified": sum(verdicts),
         "rejections": dict(Counter(outcome.reason for outcome in rejected)),
-        "records": [replace(qa, verified=ok).to_record() for qa, ok in zip(candidates, verdicts)],
+        "verified": [{"answer": qa.answer, "question": qa.question}
+                     for qa, ok in zip(candidates, verdicts) if ok],
     }
 
 
-_ROW = {"passage_id": str, "detected": int, "generated": int, "verified": int, "rejections": dict,
-        "records": [{"passage_id": str, "answer": str, "question": str, "verified": bool}]}
+_ROW = {"passage_id": str, "digest": str, "detected": int, "rejections": dict,
+        "verified": [{"answer": str, "question": str}]}
+_REASONS = {REJECT_UNPARSEABLE, REJECT_ANSWER_MISMATCH, REJECT_EMPTY_QUESTION}
+
+
+def _tallies_fit(row: dict) -> bool:
+    """Whether ``_process_passage`` could have written the row's tallies."""
+    counts = row["rejections"]
+    return (counts.keys() <= _REASONS and all(type(n) is int and n >= 1 for n in counts.values())
+            and row["detected"] - sum(counts.values()) >= len(row["verified"]))
 
 
 def _verified(row: dict) -> list[CandidateQA]:
-    return [CandidateQA(qa["passage_id"], qa["answer"], qa["question"], qa["verified"])
-            for qa in row["records"] if qa["verified"]]
+    return [CandidateQA(row["passage_id"], qa["answer"], qa["question"], verified=True)
+            for qa in row["verified"]]
 
 
 def build_database(
@@ -181,25 +188,28 @@ def build_database(
 ) -> tuple[QADatabase, FunnelReport]:
     """Run all three stages over a corpus and merge the survivors.
 
-    With a ``checkpoint`` path, each finished passage appends one
-    row (its funnel tallies, rejections and candidate records) to an
-    append-only file, and a rerun skips the passages found there. A
-    backend failure aborts the run with the checkpoint intact, so the run
-    is resumable by passage id; a row torn by a crash is dropped and its
-    passage processed again.
+    With a ``checkpoint`` path, each finished passage appends one row (its
+    tallies and verified pairs, bound to the passage's title and text by a
+    digest) to an append-only file, and a rerun skips the passages found
+    there. A backend failure aborts the run with the checkpoint intact, so
+    the run resumes by passage id and content; a row torn by a crash is
+    dropped and its passage processed again.
     """
     entries, log = jsonl.open_log(checkpoint) if checkpoint else ([], nullcontext())
     with log:
         rows, verified = [], []
         for lineno, row in entries:
+            where = f"{checkpoint}: line {lineno}"
             jsonl.check(row, _ROW, checkpoint, lineno)
-            if (row.keys() != _ROW.keys() or row["passage_id"] not in corpus
-                    or any(qa["passage_id"] != row["passage_id"] for qa in row["records"])):
-                raise ParseError(f"{checkpoint}: line {lineno}: not a checkpoint row of this corpus")
+            passage = corpus.get(row["passage_id"])
+            if row.keys() != _ROW.keys() or passage is None or row["digest"] != _digest(passage):
+                raise ParseError(f"{where}: not a checkpoint row of this corpus")
+            if not _tallies_fit(row):
+                raise ParseError(f"{where}: tallies that no build could have written")
             try:
                 verified += _verified(row)
             except ValueError as exc:
-                raise ParseError(f"{checkpoint}: line {lineno}: {exc}") from exc
+                raise ParseError(f"{where}: {exc}") from exc
             rows.append(row)
         done = {row["passage_id"] for row in rows}
         pending = [p for p in corpus if p.id not in done]
@@ -212,14 +222,11 @@ def build_database(
                 log.write(jsonl.dumps(row) + "\n")
                 log.flush()
 
-    report = FunnelReport(passages=len(corpus))
     rejections: Counter = Counter()
     for row in rows:
-        report.detected += row["detected"]
-        report.generated += row["generated"]
-        report.verified += row["verified"]
         rejections.update(row["rejections"])
+    detected = sum(row["detected"] for row in rows)
+    generated = detected - rejections.total()  # each answer yields a candidate or a rejection
     db = merge_questions(verified)
-    report.unique_questions = len(db)
-    report.rejections = dict(rejections)
-    return db, report
+    return db, FunnelReport(len(corpus), detected, generated, len(verified), len(db),
+                            dict(rejections))

@@ -49,14 +49,6 @@ class CandidateQA:
         if not self.question.strip() or not self.question.strip().endswith("?"):
             raise ValueError(f"candidate question must end with '?': {self.question!r}")
 
-    def to_record(self) -> dict:
-        return {
-            "passage_id": self.passage_id,
-            "answer": self.answer,
-            "question": self.question,
-            "verified": self.verified,
-        }
-
 
 @dataclass(frozen=True)
 class AnswerEntry:

@@ -16,7 +16,7 @@ import pytest
 from fixtures import forbid_database_parse, make_toy_corpus
 from oracles import bm25_scores_direct
 
-from qadb import jsonl, retrieval
+from qadb import cli, jsonl, retrieval
 from qadb.backend import GenerationRequest, StubBackend
 from qadb.cli import main
 from qadb.config import ENDPOINT_ENV_VAR, RunConfig
@@ -114,7 +114,8 @@ def test_committed_fixtures_are_what_make_golden_writes(tmp_path, monkeypatch):
     monkeypatch.setattr(make_golden, "DATA", tmp_path)
     make_golden.main()
     written = sorted(path.name for path in tmp_path.iterdir())
-    assert written == sorted(path.name for path in DATA.iterdir())
+    # an in-place retrieve leaves its git-ignored index image next to the fixture database
+    assert written == sorted(p.name for p in DATA.iterdir() if not p.name.endswith(".index.npz"))
     stale = [name for name in written if (tmp_path / name).read_bytes() != (DATA / name).read_bytes()]
     assert not stale, f"stale fixtures {stale}: regenerate them with python3 tests/make_golden.py"
 
@@ -525,23 +526,94 @@ def test_gold_answers_that_are_a_string_exit_2(tmp_path, capsys):
     )
 
 
-def test_checkpoint_question_without_question_mark_exits_2(tmp_path, capsys):
-    args = ["build-db", "--corpus", str(DATA / "corpus.jsonl"), "--db", str(tmp_path / "o.qadb"),
-            "--checkpoint", str(tmp_path / "run.ckpt")]
+def _build_db(corpus, checkpoint, tmp_path):
+    return ["build-db", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+            "--db", str(tmp_path / "o.qadb")]
+
+
+def _edited_checkpoint(tmp_path, lineno, edit):
+    """The args of a finished fixture build whose checkpoint row ``lineno`` then had ``edit``."""
+    checkpoint = tmp_path / "run.ckpt"
+    args = _build_db(DATA / "corpus.jsonl", checkpoint, tmp_path)
     assert main(args) == 0
-    first, *rest = (tmp_path / "run.ckpt").read_text().splitlines(keepends=True)
-    row = json.loads(first)
-    row["records"][0]["question"] = row["records"][0]["question"].rstrip("?")
-    (tmp_path / "run.ckpt").write_text(json.dumps(row) + "\n" + "".join(rest))
+    lines = checkpoint.read_text().splitlines(keepends=True)
+    row = json.loads(lines[lineno - 1])
+    edit(row)
+    lines[lineno - 1] = json.dumps(row) + "\n"
+    checkpoint.write_text("".join(lines))
+    return args
+
+
+def test_checkpoint_question_without_question_mark_exits_2(tmp_path, capsys):
+    def edit(row):
+        row["verified"][0]["question"] = row["verified"][0]["question"].rstrip("?")
+
+    args = _edited_checkpoint(tmp_path, 1, edit)
     capsys.readouterr()
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'run.ckpt'}: line 1: candidate question must end")
 
 
-def _build_db(corpus, checkpoint, tmp_path):
-    return ["build-db", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
-            "--db", str(tmp_path / "o.qadb")]
+@pytest.mark.parametrize("field", ["title", "text"])
+def test_checkpoint_of_an_edited_passage_exits_2_naming_the_line(tmp_path, capsys, field):
+    corpus = tmp_path / "corpus.jsonl"
+    shutil.copyfile(DATA / "corpus.jsonl", corpus)
+    args = _build_db(corpus, tmp_path / "run.ckpt", tmp_path)
+    assert main(args) == 0
+    passages = [json.loads(line) for line in corpus.read_text().splitlines()]
+    passages[2][field] += " again"
+    corpus.write_text("".join(json.dumps(passage) + "\n" for passage in passages))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'run.ckpt'}: line 3: not a checkpoint row of this corpus\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [  # the fixture build verifies every answer it detects, so each edit breaks one rule only
+        lambda row: row.update(rejections={"bogus_reason": 1}, detected=row["detected"] + 1),
+        lambda row: row.update(rejections={"answer_mismatch": "2"}, detected=row["detected"] + 2),
+        lambda row: row.update(rejections={"answer_mismatch": True}, detected=row["detected"] + 1),
+        lambda row: row.update(rejections={"empty_question": 0}),
+        lambda row: row.update(detected=-5),
+        lambda row: row.update(rejections={"unparseable_output": 1}),
+    ],
+    ids=["unknown-reason", "string-count", "bool-count", "zero-count", "negative-detected",
+         "more-outcomes-than-detected"],
+)
+def test_checkpoint_tallies_no_build_writes_exit_2_naming_the_line(tmp_path, capsys, edit):
+    def checked(row):
+        assert row["rejections"] == {} and row["detected"] == len(row["verified"]) > 0
+        edit(row)
+
+    args = _edited_checkpoint(tmp_path, 2, checked)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'run.ckpt'}: line 2: tallies that no build could have written\n"
+    )
+
+
+def test_rerun_over_a_finished_checkpoint_asks_the_backend_nothing(tmp_path, monkeypatch):
+    requests = []
+
+    class Counting(StubBackend):
+        def generate_batch(self, batch):
+            requests.extend(batch)
+            return super().generate_batch(batch)
+
+    monkeypatch.setattr(cli, "_make_backend", lambda config: Counting())
+    args = _build_db(DATA / "corpus.jsonl", tmp_path / "run.ckpt", tmp_path)
+    assert main(args) == 0
+    assert requests
+    written = {name: (tmp_path / name).read_bytes() for name in ("o.qadb", "o.qadb.report.json")}
+    requests.clear()
+    assert main(args) == 0
+    assert requests == []
+    assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
 def _nul_id_corpus(tmp_path):
@@ -561,14 +633,11 @@ def _nul_id_database(tmp_path):
 
 
 def _nul_id_checkpoint(tmp_path):
-    checkpoint = tmp_path / "run.ckpt"
-    args = _build_db(DATA / "corpus.jsonl", checkpoint, tmp_path)
-    assert main(args) == 0
-    first, *rest = checkpoint.read_text().splitlines(keepends=True)
-    row = json.loads(first)
-    row["records"][0]["passage_id"] = "not-in-corpus\u0000"  # was merged into the database
-    checkpoint.write_text(json.dumps(row) + "\n" + "".join(rest))
-    return args, f"{checkpoint}: line 1: not a checkpoint row of this corpus"
+    def edit(row):
+        row["passage_id"] += "\u0000"  # the index would keep it as the corpus's id
+
+    args = _edited_checkpoint(tmp_path, 1, edit)
+    return args, f"{tmp_path / 'run.ckpt'}: line 1: not a checkpoint row of this corpus"
 
 
 @pytest.mark.parametrize("make_input", [_nul_id_corpus, _nul_id_database, _nul_id_checkpoint])
@@ -976,9 +1045,11 @@ def test_remote_backend_run_equals_in_process_stub_run(tmp_path, monkeypatch):
     assert build_connections == 1 and server.connections == 1
     rows = [row for _, row in jsonl.read(remote / "run.ckpt")]
     texts = {p.id: p.text for p in load_corpus(corpus_path)}
+    stages = [1 + (row["detected"] > 0) + (row["detected"] > sum(row["rejections"].values()))
+              for row in rows]
     assert [sum(batch[0].endswith(texts[row["passage_id"]]) for batch in build_posts)
-            for row in rows] == [1 + (row["detected"] > 0) + (row["generated"] > 0) for row in rows]
-    assert len(build_posts) == sum(1 + (row["detected"] > 0) + (row["generated"] > 0) for row in rows)
+            for row in rows] == stages
+    assert len(build_posts) == sum(stages)
     # revise stays one request per revision round of a row
     assert server.posts and all(len(batch) == 1 for batch in server.posts)
 

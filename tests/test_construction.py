@@ -284,15 +284,19 @@ def test_checkpoint_resume_drops_torn_last_row(tmp_path):
         # a candidate record, as the former two-file checkpoint stored them
         {"passage_id": "doc-00#0", "answer": "a", "question": "q?", "verified": True},
         # a complete row, but of a passage this corpus does not have
-        {"passage_id": "other#0", "detected": 1, "generated": 0, "verified": 0,
-         "rejections": {"answer_mismatch": 1}, "records": []},
+        {"passage_id": "other#0", "digest": "0123456789abcdef", "detected": 1,
+         "rejections": {"answer_mismatch": 1}, "verified": []},
+        # a row as checkpoints stored them before rows held a digest and only verified pairs
+        {"passage_id": "doc-00#0", "detected": 1, "generated": 1, "verified": 1, "rejections": {},
+         "records": [{"passage_id": "doc-00#0", "answer": "a", "question": "q?", "verified": True}]},
     ],
 )
 def test_checkpoint_of_another_layout_or_corpus_is_rejected(tmp_path, row):
     checkpoint = tmp_path / "run.ckpt"
     checkpoint.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(ParseError) as refused:
         build_database(make_toy_corpus(2), STUB, checkpoint=str(checkpoint))
+    assert str(refused.value).startswith(f"{checkpoint}: line 1: ")
 
 
 def test_candidate_question_must_end_with_question_mark():
