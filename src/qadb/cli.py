@@ -153,7 +153,7 @@ def cmd_retrieve(args) -> int:
                     "rank": rank,
                     "passage_id": ps.passage_id,
                     "score": ps.score,
-                    "method": ps.method,
+                    "method": config.retrieval_method,
                 }
             )
     header = {

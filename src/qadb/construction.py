@@ -65,7 +65,7 @@ class FunnelReport:
     rejections: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "rejections": dict(sorted(self.rejections.items()))}
+        return asdict(self)
 
 
 def detect_answers(passage: Passage, backend: Backend) -> list[str]:
@@ -193,11 +193,12 @@ def build_database(
     digest) to an append-only file, and a rerun skips the passages found
     there. A backend failure aborts the run with the checkpoint intact, so
     the run resumes by passage id and content; a row torn by a crash is
-    dropped and its passage processed again.
+    dropped and its passage processed again, and a second row for one
+    passage is refused.
     """
     entries, log = jsonl.open_log(checkpoint) if checkpoint else ([], nullcontext())
     with log:
-        rows, verified = [], []
+        rows, verified, done = [], [], set()
         for lineno, row in entries:
             where = f"{checkpoint}: line {lineno}"
             jsonl.check(row, _ROW, checkpoint, lineno)
@@ -206,12 +207,14 @@ def build_database(
                 raise ParseError(f"{where}: not a checkpoint row of this corpus")
             if not _tallies_fit(row):
                 raise ParseError(f"{where}: tallies that no build could have written")
+            if row["passage_id"] in done:
+                raise ParseError(f"{where}: a second row for passage {row['passage_id']!r}")
+            done.add(row["passage_id"])
             try:
                 verified += _verified(row)
             except ValueError as exc:
                 raise ParseError(f"{where}: {exc}") from exc
             rows.append(row)
-        done = {row["passage_id"] for row in rows}
         pending = [p for p in corpus if p.id not in done]
 
         for passage in pending:

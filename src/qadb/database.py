@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import string
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -99,11 +99,7 @@ class DatabaseStats:
     multi_answer_questions: int
 
     def to_dict(self) -> dict:
-        return {
-            "unique_questions": self.unique_questions,
-            "multi_mention_questions": self.multi_mention_questions,
-            "multi_answer_questions": self.multi_answer_questions,
-        }
+        return asdict(self)
 
 
 def _compute_stats(questions: Sequence[MergedQuestion]) -> DatabaseStats:

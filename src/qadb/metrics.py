@@ -15,7 +15,7 @@ import re
 import string
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import jsonl
 from .backend import NOT_ANSWERABLE, GenerationRequest, reading_qa_prompt
@@ -249,13 +249,7 @@ class EvalReport:
     config_notes: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "macro": self.macro,
-            "per_query": self.per_query,
-            "warnings": self.warnings,
-            "config_notes": self.config_notes,
-        }
+        return asdict(self)
 
 
 def _macro(per_query: dict[str, dict[str, float]], metric: str) -> float:

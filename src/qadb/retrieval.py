@@ -21,9 +21,9 @@ import sys
 import zipfile
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from contextlib import ExitStack
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,18 +54,15 @@ def tokenize(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class RetrievalHit:
+class RetrievalHit(NamedTuple):
+    """An index entry matched by a query; its rank is its position in the hit list."""
     qid: int | str
     score: float
-    rank: int
 
 
-@dataclass(frozen=True)
-class PassageScore:
+class PassageScore(NamedTuple):
     passage_id: str
     score: float
-    method: str
 
 
 def _records(rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -408,8 +405,7 @@ def retrieve_questions(
     else:
         raise ValueError(f"unknown retrieval mode {mode!r}")
     top = _top_k(scores, k)  # rows ascend, and so do their keys
-    ranked = enumerate(zip(index.keys[rows[top]].tolist(), scores[top].tolist()), start=1)
-    return [RetrievalHit(key, score, rank) for rank, (key, score) in ranked]
+    return list(map(RetrievalHit, index.keys[rows[top]].tolist(), scores[top].tolist()))
 
 
 def _credit(index: QuestionIndex, hits: Sequence[RetrievalHit]) -> tuple[dict, dict[int, float]]:
@@ -438,21 +434,19 @@ def score_passages_max(index: QuestionIndex, hits: Sequence[RetrievalHit]) -> li
     """
     best = _credit(index, hits)[1]
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))  # columns ascend with ids
-    return [PassageScore(index.passages[col], score, METHOD_MAX) for col, score in ranked]
+    return [PassageScore(index.passages[col], score) for col, score in ranked]
 
 
-def score_passages_count(
-    index: QuestionIndex, hits: Sequence[RetrievalHit], k: int = DEFAULT_QUESTION_FETCH
-) -> list[PassageScore]:
-    """Passage score = how many of the top-k hit questions it generated.
+def score_passages_count(index: QuestionIndex, hits: Sequence[RetrievalHit]) -> list[PassageScore]:
+    """Passage score = how many of the hit questions it generated.
 
     A question generated from several passages counts once per passage.
-    Ties break by the max-method score over the same top-k hits, then by
+    Ties break by the max-method score over the same hits, then by
     passage id.
     """
-    counts, best = _credit(index, [hit for hit in hits if hit.rank <= k])
+    counts, best = _credit(index, hits)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], -best[kv[0]], kv[0]))
-    return [PassageScore(index.passages[col], float(n), METHOD_COUNT) for col, n in ranked]
+    return [PassageScore(index.passages[col], float(n)) for col, n in ranked]
 
 
 def retrieve_passages(
@@ -473,13 +467,13 @@ def retrieve_passages(
     if former:
         (query,) = former
     if method == METHOD_DIRECT:
-        hits = retrieve_questions(index, query, top_n, mode)
-        return [PassageScore(str(h.qid), h.score, METHOD_DIRECT) for h in hits]
+        hits = retrieve_questions(index, query, top_n, mode)  # keyed by passage id
+        return [PassageScore(pid, score) for pid, score in hits]
     hits = retrieve_questions(index, query, k_questions, mode)
     if method == METHOD_MAX:
         return score_passages_max(index, hits)[:top_n]
     if method == METHOD_COUNT:
-        return score_passages_count(index, hits, k_questions)[:top_n]
+        return score_passages_count(index, hits)[:top_n]
     raise ValueError(f"unknown aggregation method {method!r}")
 
 

@@ -199,10 +199,7 @@ def random_hits(rng: random.Random, db: QADatabase, max_hits: int = 50):
     else:
         scores = [rng.uniform(0, 3) for _ in chosen]
     ranked = sorted(zip(chosen, scores), key=lambda kv: (-kv[1], kv[0]))
-    return [
-        RetrievalHit(qid=qid, score=score, rank=rank)
-        for rank, (qid, score) in enumerate(ranked, start=1)
-    ]
+    return [RetrievalHit(qid=qid, score=score) for qid, score in ranked]
 
 
 def forbid_database_parse(monkeypatch) -> None:

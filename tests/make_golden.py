@@ -65,10 +65,7 @@ def oracle_count_rows(db, query_id: str, question: str, k: int, top_n: int) -> l
     scores = bm25_scores_direct(question, texts)
     positive = [(q.qid, s) for q, s in zip(db.questions, scores) if s > 0]
     positive.sort(key=lambda kv: (-kv[1], kv[0]))
-    hits = [
-        RetrievalHit(qid=qid, score=score, rank=rank)
-        for rank, (qid, score) in enumerate(positive[:k], start=1)
-    ]
+    hits = [RetrievalHit(qid=qid, score=score) for qid, score in positive[:k]]
     ranked = count_aggregation_oracle(db, hits, k)[:top_n]
     return [
         {

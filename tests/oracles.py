@@ -98,7 +98,7 @@ def max_aggregation_oracle(db, hits) -> list[tuple[str, float]]:
 
 def count_aggregation_oracle(db, hits, k: int) -> list[tuple[str, int]]:
     """|GEN(p) ∩ top-k hits| per passage via exhaustive set intersection."""
-    top = [hit for hit in hits if hit.rank <= k]
+    top = hits[:k]
     top_qids = {hit.qid for hit in top}
     hit_scores = {hit.qid: hit.score for hit in top}
     results = []

@@ -118,7 +118,7 @@ def test_criterion_2_aggregation_oracle_equivalence():
             assert abs(ps.score - want_score) <= 1e-12, f"instance {i}"
 
         k = rng.randint(1, 50)
-        got_count = [(ps.passage_id, int(ps.score)) for ps in score_passages_count(index, hits, k)]
+        got_count = [(ps.passage_id, int(ps.score)) for ps in score_passages_count(index, hits[:k])]
         assert got_count == count_aggregation_oracle(db, hits, k), f"instance {i}"
     _report(2, "aggregation-oracle-equivalence")
 

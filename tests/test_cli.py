@@ -270,6 +270,17 @@ def test_retrieve_direct_reads_only_the_corpus(tmp_path):
     assert (tmp_path / "no_db.jsonl").read_bytes() == (tmp_path / "results.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("method", ["max", "count", "direct"])
+def test_retrieve_rows_carry_the_configured_method(tmp_path, method):
+    config = tmp_path / "run.txt"
+    config.write_text(f"retrieval_method = {method}\n")
+    extra = ["--corpus", str(DATA / "corpus.jsonl")]
+    assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl", *extra, config=config) == 0
+    header, records = _read_jsonl(tmp_path / "results.jsonl")
+    assert header["method"] == method
+    assert records and all(r["method"] == method for r in records)
+
+
 @pytest.mark.parametrize("method", ["direct", "count", "max"])
 def test_retrieve_refuses_unread_embeddings(tmp_path, capsys, method):
     # only dense max and count read question vectors; sparse ones were loaded unread
@@ -594,6 +605,20 @@ def test_checkpoint_tallies_no_build_writes_exit_2_naming_the_line(tmp_path, cap
     assert main(args) == 2
     assert capsys.readouterr().err == (
         f"error: {tmp_path / 'run.ckpt'}: line 2: tallies that no build could have written\n"
+    )
+
+
+def test_checkpoint_with_a_second_row_for_one_passage_exits_2_naming_the_line(tmp_path, capsys):
+    checkpoint = tmp_path / "run.ckpt"
+    args = _build_db(DATA / "corpus.jsonl", checkpoint, tmp_path)
+    assert main(args) == 0
+    lines = checkpoint.read_text().splitlines(keepends=True)
+    checkpoint.write_text("".join([*lines, lines[0]]))
+    capsys.readouterr()
+    assert main(args) == 2
+    passage_id = json.loads(lines[0])["passage_id"]
+    assert capsys.readouterr().err == (
+        f"error: {checkpoint}: line {len(lines) + 1}: a second row for passage {passage_id!r}\n"
     )
 
 

@@ -11,6 +11,7 @@ from qadb.construction import (
     REJECT_UNPARSEABLE,
     CandidateQA,
     Rejection,
+    _process_passage,
     build_database,
     detect_answers,
     generate_question,
@@ -279,24 +280,30 @@ def test_checkpoint_resume_drops_torn_last_row(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row",
+    "rows",
     [
         # a candidate record, as the former two-file checkpoint stored them
-        {"passage_id": "doc-00#0", "answer": "a", "question": "q?", "verified": True},
+        pytest.param([{"passage_id": "doc-00#0", "answer": "a", "question": "q?", "verified": True}],
+                     id="row0"),
         # a complete row, but of a passage this corpus does not have
-        {"passage_id": "other#0", "digest": "0123456789abcdef", "detected": 1,
-         "rejections": {"answer_mismatch": 1}, "verified": []},
+        pytest.param([{"passage_id": "other#0", "digest": "0123456789abcdef", "detected": 1,
+                       "rejections": {"answer_mismatch": 1}, "verified": []}], id="row1"),
         # a row as checkpoints stored them before rows held a digest and only verified pairs
-        {"passage_id": "doc-00#0", "detected": 1, "generated": 1, "verified": 1, "rejections": {},
-         "records": [{"passage_id": "doc-00#0", "answer": "a", "question": "q?", "verified": True}]},
+        pytest.param([{"passage_id": "doc-00#0", "detected": 1, "generated": 1, "verified": 1,
+                       "rejections": {}, "records": [{"passage_id": "doc-00#0", "answer": "a",
+                                                      "question": "q?", "verified": True}]}],
+                     id="row2"),
+        # one passage's row twice, as two builds appending to one checkpoint could leave it
+        pytest.param([_process_passage(next(iter(make_toy_corpus(2))), STUB)] * 2,
+                     id="duplicate-row"),
     ],
 )
-def test_checkpoint_of_another_layout_or_corpus_is_rejected(tmp_path, row):
+def test_checkpoint_of_another_layout_or_corpus_is_rejected(tmp_path, rows):
     checkpoint = tmp_path / "run.ckpt"
-    checkpoint.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    checkpoint.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     with pytest.raises(ParseError) as refused:
         build_database(make_toy_corpus(2), STUB, checkpoint=str(checkpoint))
-    assert str(refused.value).startswith(f"{checkpoint}: line 1: ")
+    assert str(refused.value).startswith(f"{checkpoint}: line {len(rows)}: ")
 
 
 def test_candidate_question_must_end_with_question_mark():

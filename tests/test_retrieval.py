@@ -178,8 +178,7 @@ def test_k_larger_than_db_returns_all_ranked():
     db = build_db([("p", f"a{i}", f"shared topic variant {i}?") for i in range(4)])
     index = build_index(db)
     hits = retrieve_questions(index, "shared topic", k=50, mode="sparse")
-    assert len(hits) == 4
-    assert [h.rank for h in hits] == [1, 2, 3, 4]
+    assert sorted(h.qid for h in hits) == [q.qid for q in db.questions]
     scores = [h.score for h in hits]
     assert scores == sorted(scores, reverse=True)
 
@@ -204,12 +203,11 @@ def test_dense_scores_symmetric_under_swap():
 
 def test_tie_break_is_score_then_key():
     # hyphenation changes the merge key but not the BM25 tokens, so the two
-    # questions score identically; the lower qid comes first, ranks stay
-    # consecutive
+    # questions score identically; the lower qid comes first
     db = build_db([("p1", "a", "same words here?"), ("p2", "b", "same-words here?")])
     index = build_index(db)
     hits = retrieve_questions(index, "same words here", k=2, mode="sparse")
-    assert [h.rank for h in hits] == [1, 2]
+    assert len(hits) == 2
     assert hits[0].score == hits[1].score
     assert hits[0].qid < hits[1].qid
 
@@ -226,11 +224,11 @@ def _full_sort(index, query, k, mode):
         rows, scores = (a.tolist() for a in retrieval._dense_scores(index, query, len(index.keys)))
     pairs = [(index.keys[r], s) for r, s in zip(rows, scores)]
     ranked = sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
-    return [(key, score, rank) for rank, (key, score) in enumerate(ranked[:k], start=1)]
+    return ranked[:k]
 
 
 def _hit_tuples(index, query, k, mode):
-    return [(h.qid, h.score, h.rank) for h in retrieve_questions(index, query, k, mode)]
+    return [(h.qid, h.score) for h in retrieve_questions(index, query, k, mode)]
 
 
 def _tied_index(keys, seed):
@@ -256,7 +254,7 @@ def test_top_k_cuts_exact_ties_at_kth_score_by_key(mode, key_kind):
         assert hits == _full_sort(index, "alpha beta", k, mode)
         assert len(hits) == k
     # k = 10 cuts the 25-way tie: the 10 lowest of its keys, ascending
-    assert [qid for qid, _, _ in _hit_tuples(index, "alpha beta", 10, mode)] == tied_keys[:10]
+    assert [qid for qid, _ in _hit_tuples(index, "alpha beta", 10, mode)] == tied_keys[:10]
 
 
 @pytest.mark.parametrize("mode", ["sparse", "dense"])
@@ -278,8 +276,8 @@ def test_dense_zero_query_vector_orders_by_key_alone():
         assert len(retrieval._dense_scores(index, "?!", k)[0]) <= k  # no row is screened
         hits = _hit_tuples(index, "?!", k, "dense")
         assert hits == _full_sort(index, "?!", k, "dense")
-        assert [qid for qid, _, _ in hits] == sorted(keys)[:k]
-        assert all(score == 0.0 for _, score, _ in hits)
+        assert [qid for qid, _ in hits] == sorted(keys)[:k]
+        assert all(score == 0.0 for _, score in hits)
 
 
 def test_top_k_matches_full_sort_on_random_instances():
@@ -335,7 +333,7 @@ def test_dense_screen_keeps_exact_and_near_ties_around_the_kth_score():
         near_cuts += 0.0 < gap < 1e-7
         # rows of the exact top k that a screen without margin would drop
         kth = -np.partition(-screened, k - 1)[k - 1]
-        unscreened += any(screened[key] < kth for key, _, _ in ranked[:k])
+        unscreened += any(screened[key] < kth for key, _ in ranked[:k])
     assert exact_cuts and near_cuts and unscreened
 
 
@@ -446,15 +444,15 @@ def test_pruning_falls_back_when_a_row_of_common_tokens_alone_ties_the_kth():
     index = _weighted_index([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
     assert index.sparse.peaks[0] == 2.0
     assert len(index.sparse.scores(["what", "rare"], 2)) == 6  # every row scored
-    assert _hit_tuples(index, "what rare", 2, "sparse") == [(0, 3.0, 1), (1, 2.0, 2)]
+    assert _hit_tuples(index, "what rare", 2, "sparse") == [(0, 3.0), (1, 2.0)]
     _assert_top_k_as_bincount(index, "what rare", 2)
     # a common weight of 1.5 cannot tie, so only the two candidates are scored
     index = _weighted_index([1.0, 1.5, 1.0, 1.0, 1.0, 1.0])
     assert _assert_top_k_as_bincount(index, "what rare", 2) == 2
-    assert _hit_tuples(index, "what rare", 2, "sparse") == [(0, 3.0, 1), (5, 2.0, 2)]
+    assert _hit_tuples(index, "what rare", 2, "sparse") == [(0, 3.0), (5, 2.0)]
     # a repeated common token counts twice in the bound: row 1 ties row 5 at 3.0
     assert _assert_top_k_as_bincount(index, "what what rare", 2) == 6
-    assert _hit_tuples(index, "what what rare", 2, "sparse") == [(0, 4.0, 1), (1, 3.0, 2)]
+    assert _hit_tuples(index, "what what rare", 2, "sparse") == [(0, 4.0), (1, 3.0)]
 
 
 def _common_corpus(n=40):
@@ -504,7 +502,7 @@ def test_pruned_top_k_is_the_bincount_top_k(docs, query, k):
 
 def _hits(*pairs):
     ranked = sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
-    return [RetrievalHit(qid, score, rank) for rank, (qid, score) in enumerate(ranked, 1)]
+    return [RetrievalHit(qid, score) for qid, score in ranked]
 
 
 def test_max_takes_best_question_score():
@@ -529,22 +527,24 @@ def test_count_counts_topk_questions_per_passage():
     )
     by_text = {q.question: q.qid for q in db.questions}
     hits = _hits((by_text["q a?"], 4.0), (by_text["q b?"], 3.0), (by_text["q c?"], 2.0), (by_text["q d?"], 1.0))
-    scored = score_passages_count(build_index(db), hits, k=50)
+    scored = score_passages_count(build_index(db), hits)
     assert [(ps.passage_id, ps.score) for ps in scored] == [("p1", 3.0), ("p2", 1.0)]
 
 
 def test_count_respects_k_cutoff():
-    db = build_db([("p1", "a", "q a?"), ("p2", "b", "q b?")])
-    by_text = {q.question: q.qid for q in db.questions}
-    hits = _hits((by_text["q a?"], 2.0), (by_text["q b?"], 1.0))
-    scored = score_passages_count(build_index(db), hits, k=1)
+    # both questions match; only the better one is among the k_questions=1 hits
+    db = build_db([("p1", "a", "tall stadium?"), ("p2", "b", "tall stadium roof?")])
+    index = build_index(db)
+    scored = retrieve_passages(index, "tall stadium", method="count", k_questions=1)
     assert [(ps.passage_id, ps.score) for ps in scored] == [("p1", 1.0)]
+    scored = retrieve_passages(index, "tall stadium", method="count", k_questions=2)
+    assert [(ps.passage_id, ps.score) for ps in scored] == [("p1", 1.0), ("p2", 1.0)]
 
 
 def test_count_multi_provenance_counts_once_per_passage():
     db = build_db([("p1", "a", "shared q?"), ("p2", "a", "shared q?")])
     qid = db.questions[0].qid
-    scored = score_passages_count(build_index(db), _hits((qid, 1.0)), k=50)
+    scored = score_passages_count(build_index(db), _hits((qid, 1.0)))
     assert {(ps.passage_id, ps.score) for ps in scored} == {("p1", 1.0), ("p2", 1.0)}
 
 
@@ -559,7 +559,7 @@ def test_count_ties_break_by_max_score_then_id():
         (by_text["q mid2?"], 5.0),
         (by_text["q low?"], 0.5),
     )
-    scored = score_passages_count(build_index(db), hits, k=50)
+    scored = score_passages_count(build_index(db), hits)
     # both passages count 2; pb holds the single best-scoring question
     assert [ps.passage_id for ps in scored] == ["pb", "pa"]
 
@@ -579,7 +579,7 @@ def test_aggregation_matches_oracles_on_random_instances():
         got_max = [(ps.passage_id, ps.score) for ps in score_passages_max(index, hits)]
         assert got_max == max_aggregation_oracle(db, hits)
         k = rng.randint(1, 20)
-        got_count = [(ps.passage_id, int(ps.score)) for ps in score_passages_count(index, hits, k)]
+        got_count = [(ps.passage_id, int(ps.score)) for ps in score_passages_count(index, hits[:k])]
         assert got_count == count_aggregation_oracle(db, hits, k)
 
 
@@ -591,7 +591,6 @@ def test_retrieve_passages_max_single_hit_returns_its_provenance():
     index = build_index(db)
     scored = retrieve_passages(index, "only question here", method="max", top_n=5)
     assert {ps.passage_id for ps in scored} == {"p1", "p2"}
-    assert all(ps.method == "max" for ps in scored)
 
 
 def test_retrieve_passages_direct_ranks_passages():
@@ -604,7 +603,6 @@ def test_retrieve_passages_direct_ranks_passages():
     pindex = build_passage_index(corpus)
     scored = retrieve_passages(pindex, "michigan stadium", method="direct", top_n=2)
     assert scored[0].passage_id == "p1"
-    assert scored[0].method == "direct"
 
 
 def test_top_n_prefix_property():
