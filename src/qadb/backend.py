@@ -78,7 +78,7 @@ class Backend(Protocol):
     def generate_batch(self, requests: Sequence[GenerationRequest]) -> list[GenerationResponse]: ...
 
 
-_QG_PROMPT = re.compile(r"^answer: (.*?)(?: title: (.*?))? context: (.*)$", re.DOTALL)
+_QG_PROMPT = re.compile(r"^answer: (.*?) title: (.*?) context: (.*)$", re.DOTALL)
 _READ_PROMPT = re.compile(r"^question: (.*?) context: (.*)$", re.DOTALL)
 _REVISE_PROMPT = re.compile(r"^question: (.*?) answer: (.*?) passage: (.*)$", re.DOTALL)
 _DETECT_PROMPT = re.compile(r"^context: (.*)$", re.DOTALL)
@@ -152,10 +152,7 @@ class StubBackend:
             match = _QG_PROMPT.match(prompt)
             if not match:
                 raise ProtocolError("malformed question-generation prompt")
-            answer, title, context = match.groups()
-            if title is None:
-                # title-less prompt: fall back to the leading context token
-                title = (context.split() or ["passage"])[0]
+            answer, title, _ = match.groups()
             candidates = [self._generate_question(answer, title)]
         elif prompt.startswith("question: ") and " passage: " in prompt:
             match = _REVISE_PROMPT.match(prompt)

@@ -26,16 +26,10 @@ from .errors import (ContractViolation, DuplicateId, EmbeddingDimMismatch, NonFi
 from .metrics import evaluate_longform, evaluate_retrieval_recall, load_examples
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _require_file(path: str, role: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise _CliError(2, f"{role} file not found: {path}")
+        raise FileNotFoundError(f"{role} file not found: {path}")
     return p
 
 
@@ -49,7 +43,7 @@ def _output_lock(directory: Path):
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            raise _CliError(1, f"output directory is locked by another run: {directory}") from None
+            raise QADBError(f"output directory is locked by another run: {directory}") from None
         yield
     finally:
         os.close(fd)
@@ -112,27 +106,27 @@ def cmd_retrieve(args) -> int:
     if config.retrieval_mode == "dense":
         embedder = retrieval.hashing_embedder(config.embedding_dim, config.seed)
     if args.embeddings and (embedder is None or config.retrieval_method == "direct"):
-        raise _CliError(2, "--embeddings holds question vectors; only dense max/count read them")
+        raise ContractViolation("--embeddings holds question vectors; "
+                                "only dense max/count read them")
     if config.retrieval_method == "direct":  # ranks passage texts; the database goes unread
         if not args.corpus:
-            raise _CliError(2, "direct method needs --corpus to build the passage index")
+            raise ContractViolation("direct method needs --corpus to build the passage index")
         corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
         index = retrieval.build_passage_index(corpus, embedder)
     else:
         if not args.db:
-            raise _CliError(2, f"the {config.retrieval_method} method needs --db")
+            raise ContractViolation(f"the {config.retrieval_method} method needs --db")
+        if args.corpus:
+            raise ContractViolation("--corpus holds passages; only the direct method reads it")
         _require_file(args.db, "database")
         dense_vectors = None
         if args.embeddings:
-            try:
-                embeddings = _require_file(args.embeddings, "embeddings")
-                dense_vectors = retrieval.load_vectors(str(embeddings))
-            except ValueError as exc:
-                raise _CliError(2, str(exc)) from exc
+            embeddings = _require_file(args.embeddings, "embeddings")
+            dense_vectors = retrieval.load_vectors(str(embeddings))
         try:
             index = retrieval.open_index(args.db, embedder, dense_vectors=dense_vectors)
         except (EmbeddingDimMismatch, NonFiniteVectors) as exc:  # never from the hashing embedder
-            raise _CliError(2, f"--embeddings {args.embeddings}: {exc}") from exc
+            raise ContractViolation(f"--embeddings {args.embeddings}: {exc}") from exc
     if config.retrieval_mode == "sparse":
         _ = index.sparse  # read the BM25 arrays at set-up, not inside the first query
 
@@ -201,7 +195,7 @@ def cmd_eval(args) -> int:
             args.results, "results", {"query_id": (str, int), "rank": int, "passage_id": str}
         )
         if not args.corpus:
-            raise _CliError(2, "the retrieval task needs --corpus for passage texts")
+            raise ContractViolation("the retrieval task needs --corpus for passage texts")
         corpus = load_corpus(str(_require_file(args.corpus, "corpus")))
         ranked: dict[str, list[tuple[int, str]]] = {}
         for row in rows:
@@ -218,14 +212,14 @@ def cmd_eval(args) -> int:
             retrieved_texts[query_id] = texts
         overlap = {e.query_id for e in examples} & set(retrieved_texts)
         if not overlap:
-            raise _CliError(2, "no overlapping query ids between results and gold")
+            raise ContractViolation("no overlapping query ids between results and gold")
         report = evaluate_retrieval_recall(retrieved_texts, examples)
     else:  # longform; argparse admits no other task
         rows = _read_jsonl(args.results, "predictions", {"query_id": (str, int), "output": str})
         predictions = {str(row["query_id"]): row["output"] for row in rows}
         overlap = {e.query_id for e in examples} & set(predictions)
         if not overlap:
-            raise _CliError(2, "no overlapping query ids between predictions and gold")
+            raise ContractViolation("no overlapping query ids between predictions and gold")
         report = evaluate_longform(predictions, examples, _make_backend(config),
                                    backend_label=config.backend_endpoint or "stub")
 
@@ -319,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ParseError, DuplicateId, ContractViolation, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ from .backend import (
 )
 from .corpus import Corpus, Passage
 from .database import CandidateQA, QADatabase, merge_questions
-from .errors import ParseError
 from .metrics import normalize_answer
 
 logger = logging.getLogger(__name__)
@@ -199,21 +198,20 @@ def build_database(
     entries, log = jsonl.open_log(checkpoint) if checkpoint else ([], nullcontext())
     with log:
         rows, verified, done = [], [], set()
-        for lineno, row in entries:
-            where = f"{checkpoint}: line {lineno}"
-            jsonl.check(row, _ROW, checkpoint, lineno)
+
+        def resume(row: dict) -> list[CandidateQA]:
             passage = corpus.get(row["passage_id"])
             if row.keys() != _ROW.keys() or passage is None or row["digest"] != _digest(passage):
-                raise ParseError(f"{where}: not a checkpoint row of this corpus")
+                raise ValueError("not a checkpoint row of this corpus")
             if not _tallies_fit(row):
-                raise ParseError(f"{where}: tallies that no build could have written")
+                raise ValueError("tallies that no build could have written")
             if row["passage_id"] in done:
-                raise ParseError(f"{where}: a second row for passage {row['passage_id']!r}")
+                raise ValueError(f"a second row for passage {row['passage_id']!r}")
+            return _verified(row)  # a ValueError for a question without its '?'
+
+        for lineno, row in entries:
+            verified += jsonl.check(row, _ROW, checkpoint, lineno, make=resume)
             done.add(row["passage_id"])
-            try:
-                verified += _verified(row)
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from exc
             rows.append(row)
         pending = [p for p in corpus if p.id not in done]
 

@@ -11,7 +11,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import jsonl
-from .errors import DuplicateId, EmptyDocument, ParseError
+from .errors import DuplicateId, EmptyDocument
 
 DEFAULT_CHUNK_SIZE = 100
 _PASSAGE = {"id": str, "title": str, "text": str}
@@ -33,6 +33,10 @@ class Passage:
 
     def to_record(self) -> dict:
         return {"id": self.id, "title": self.title, "text": self.text}
+
+
+def _passage(record: dict) -> Passage:
+    return Passage(record["id"], record["title"], record["text"])
 
 
 class Corpus:
@@ -98,18 +102,12 @@ def ingest_passages(lines: Iterable[str], source: str = "") -> Corpus:
     with the 1-based line number, and a repeated id raises DuplicateId.
     Messages start with ``source``, the file name, when one is given.
     """
-    prefix = f"{source}: " if source else ""
-    passages = []
-    for lineno, record in jsonl.parse_lines(lines, source):
-        jsonl.check(record, _PASSAGE, source, lineno)
-        try:
-            passages.append(Passage(record["id"], record["title"], record["text"]))
-        except ValueError as exc:
-            raise ParseError(f"{prefix}line {lineno}: {exc}") from exc
+    passages = [jsonl.check(record, _PASSAGE, source, lineno, make=_passage)
+                for lineno, record in jsonl.parse_lines(lines, source)]
     try:
         return Corpus(passages)
     except DuplicateId as exc:
-        raise DuplicateId(f"{prefix}{exc}") from None
+        raise DuplicateId(f"{source}: {exc}" if source else str(exc)) from None
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

@@ -197,22 +197,25 @@ class QADatabase:
                 f"{path}: format version {version} (this build reads {FORMAT_VERSION})"
             )
         questions = []
-        for lineno, record in records:
-            jsonl.check(record, _QUESTION, path, lineno, CorruptDatabase)
+
+        def merged(record: dict) -> MergedQuestion:
+            """The record's question; a ValueError if ``save`` could not have written it."""
             qid = record["qid"]
             if questions and qid <= questions[-1].qid:
-                raise CorruptDatabase(f"{path}: line {lineno}: qid {qid} after "
-                                      f"{questions[-1].qid}; qids must ascend")
+                raise ValueError(f"qid {qid} after {questions[-1].qid}; qids must ascend")
             if not record["answers"]:
-                raise CorruptDatabase(f"{path}: line {lineno}: a question without answers")
+                raise ValueError("a question without answers")
             for entry in record["answers"]:  # plain loops: the cheapest check of 200k records
                 if not entry["passage_ids"]:
-                    raise CorruptDatabase(f"{path}: line {lineno}: an answer without passage_ids")
+                    raise ValueError("an answer without passage_ids")
                 if "\0" in "".join(entry["passage_ids"]):  # the index's numpy str arrays strip it
-                    raise CorruptDatabase(f"{path}: line {lineno}: a passage id holding U+0000")
+                    raise ValueError("a passage id holding U+0000")
             answers = (AnswerEntry(entry["text"], tuple(entry["passage_ids"]), entry["mentions"])
                        for entry in record["answers"])
-            questions.append(MergedQuestion(qid, record["question"], tuple(answers)))
+            return MergedQuestion(qid, record["question"], tuple(answers))
+
+        for lineno, record in records:
+            questions.append(jsonl.check(record, _QUESTION, path, lineno, CorruptDatabase, merged))
         expected = header.get("question_count", 0)
         if len(questions) != expected:
             raise CorruptDatabase(

@@ -1,4 +1,5 @@
-"""Exception types shared across the package; the CLI exits 2 on input errors."""
+"""Exception types shared across the package. The class alone sets the CLI's exit code:
+2 for a ParseError, DuplicateId, ContractViolation or missing file, 1 for any other."""
 
 
 class QADBError(Exception):

@@ -3,8 +3,8 @@
 One JSON object per line, with sorted keys and raw UTF-8, so reruns write
 identical bytes. Whole files, the binary retrieval image too, are replaced
 atomically; an append-only log drops a last line torn by a crash when it
-is reopened. A reader states the shape of its records, and ``check``
-refuses a record of another shape, naming its line and field.
+is reopened. A reader states the shape and rules of its records, and
+``check`` refuses a record that breaks either, naming its line.
 """
 
 from __future__ import annotations
@@ -67,13 +67,17 @@ def fits(value, shape) -> bool:
     return isinstance(value, shape) and (shape is bool or not isinstance(value, bool))
 
 
-def check(record: dict, shape: dict, source, lineno: int, error=ParseError) -> dict:
-    """``record`` if it has ``shape``, else ``error`` names the line and its first bad field."""
-    for key, kind in shape.items():
-        if not fits(record.get(key), kind):
-            where = f"{source}: line {lineno}" if source else f"line {lineno}"
-            raise error(f"{where}: missing or mistyped field {key!r}")
-    return record
+def check(record: dict, shape: dict, source, lineno: int, error=ParseError, make=None):
+    """``make(record)``, or ``record`` if no ``make``, when it has ``shape``. Its first bad
+    field, or a ``ValueError`` from ``make``, raises ``error`` as ``<source>: line N: <why>``."""
+    try:
+        for key, kind in shape.items():
+            if not fits(record.get(key), kind):
+                raise ValueError(f"missing or mistyped field {key!r}")
+        return record if make is None else make(record)
+    except ValueError as exc:
+        where = f"{source}: line {lineno}" if source else f"line {lineno}"
+        raise error(f"{where}: {exc}") from exc
 
 
 def read(

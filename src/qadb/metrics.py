@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import jsonl
 from .backend import NOT_ANSWERABLE, GenerationRequest, reading_qa_prompt
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -213,29 +213,25 @@ _EXAMPLE = {"query_id": (str, int), "question": str, "gold_answers": [str],
             "disambiguations": [[str]], "gold_long_answers": [str]}
 
 
+def _example(record: dict) -> EvalExample:
+    # ValueError: no gold answers, or a disambiguation that is not a pair
+    return EvalExample(
+        query_id=str(record["query_id"]),
+        question=record["question"],
+        gold_answers=tuple(record["gold_answers"]),
+        disambiguations=tuple((q, a) for q, a in record["disambiguations"]),
+        gold_long_answers=tuple(record["gold_long_answers"]),
+    )
+
+
 def load_examples(lines: Iterable[str], source: str = "") -> list[EvalExample]:
     """Parse line-delimited JSON gold records into EvalExamples.
 
     Error messages start with ``source``, the file name, when one is given.
     """
-    prefix = f"{source}: " if source else ""
-    examples = []
-    for lineno, record in jsonl.parse_lines(lines, source):
-        record = {"question": "", "disambiguations": [], "gold_long_answers": [], **record}
-        jsonl.check(record, _EXAMPLE, source, lineno)
-        try:
-            examples.append(
-                EvalExample(
-                    query_id=str(record["query_id"]),
-                    question=record["question"],
-                    gold_answers=tuple(record["gold_answers"]),
-                    disambiguations=tuple((q, a) for q, a in record["disambiguations"]),
-                    gold_long_answers=tuple(record["gold_long_answers"]),
-                )
-            )
-        except ValueError as exc:  # no gold answers, or a disambiguation that is not a pair
-            raise ParseError(f"{prefix}line {lineno}: {exc}") from exc
-    return examples
+    defaults = {"question": "", "disambiguations": [], "gold_long_answers": []}
+    return [jsonl.check({**defaults, **record}, _EXAMPLE, source, lineno, make=_example)
+            for lineno, record in jsonl.parse_lines(lines, source)]
 
 
 @dataclass
@@ -298,17 +294,18 @@ def evaluate_longform(
     return report
 
 
+RECALL_KS = (1, 5, 10)
+
+
 def evaluate_retrieval_recall(
-    retrieved_texts: dict[str, list[str]],
-    examples: Sequence[EvalExample],
-    ks: Sequence[int] = (1, 5, 10),
+    retrieved_texts: dict[str, list[str]], examples: Sequence[EvalExample]
 ) -> EvalReport:
-    """Answer recall@k of ranked passage texts, macro-averaged over queries.
+    """Answer recall@k of ranked passage texts for k in ``RECALL_KS``, macro-averaged over queries.
 
     Only multi-answer queries are scored: a query whose gold set has a
     single unique answer is excluded and reported as a warning.
     """
-    report = EvalReport(task="retrieval", config_notes={"ks": ",".join(map(str, ks))})
+    report = EvalReport(task="retrieval", config_notes={"ks": ",".join(map(str, RECALL_KS))})
     for example in examples:
         texts = retrieved_texts.get(example.query_id)
         if texts is None:
@@ -320,8 +317,8 @@ def evaluate_retrieval_recall(
             )
             continue
         report.per_query[example.query_id] = {
-            f"recall@{k}": answer_recall_at_k(texts, example.gold_answers, k) for k in ks
+            f"recall@{k}": answer_recall_at_k(texts, example.gold_answers, k) for k in RECALL_KS
         }
-    for k in ks:
+    for k in RECALL_KS:
         report.macro[f"recall@{k}"] = _macro(report.per_query, f"recall@{k}")
     return report

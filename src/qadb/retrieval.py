@@ -30,7 +30,8 @@ import numpy as np
 from . import jsonl
 from .corpus import Corpus
 from .database import QADatabase
-from .errors import ContractViolation, EmbeddingDimMismatch, ModeUnavailable, NonFiniteVectors
+from .errors import (ContractViolation, EmbeddingDimMismatch, ModeUnavailable, NonFiniteVectors,
+                     ParseError)
 
 K1 = 1.2  # BM25 constants (Robertson & Zaragoza, 2009)
 B = 0.75
@@ -514,9 +515,9 @@ def load_vectors(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != _VEC_MAGIC:
-        raise ValueError(f"{path}: not an embedding file")
+        raise ParseError(f"{path}: not an embedding file")
     count, dim = struct.unpack("<II", blob[4:12])
     expected = 12 + 4 * count * dim
     if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
+        raise ParseError(f"{path}: expected {expected} bytes, found {len(blob)}")
     return np.frombuffer(blob, dtype=np.float32, offset=12).reshape(count, dim)

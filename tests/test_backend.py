@@ -77,13 +77,10 @@ def test_stub_question_generation_template():
 
 
 def test_stub_question_generation_without_title_field():
-    # the title-less prompt form falls back to the leading context token
-    response = StubBackend().generate(
-        GenerationRequest(prompt="answer: Crisler Center context: Arenas of Ann Arbor.")
-    )
-    assert response.candidates[0] == (
-        "answer: Crisler Center question: what is Crisler Center of Arenas?"
-    )
+    # question_generation_prompt always writes the title; a prompt without one is malformed
+    request = GenerationRequest(prompt="answer: Crisler Center context: Arenas of Ann Arbor.")
+    with pytest.raises(ProtocolError, match="^malformed question-generation prompt$"):
+        StubBackend().generate(request)
 
 
 def test_unknown_decode_mode_rejected():

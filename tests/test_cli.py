@@ -274,7 +274,7 @@ def test_retrieve_direct_reads_only_the_corpus(tmp_path):
 def test_retrieve_rows_carry_the_configured_method(tmp_path, method):
     config = tmp_path / "run.txt"
     config.write_text(f"retrieval_method = {method}\n")
-    extra = ["--corpus", str(DATA / "corpus.jsonl")]
+    extra = ["--corpus", str(DATA / "corpus.jsonl")] if method == "direct" else []
     assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl", *extra, config=config) == 0
     header, records = _read_jsonl(tmp_path / "results.jsonl")
     assert header["method"] == method
@@ -290,6 +290,18 @@ def test_retrieve_refuses_unread_embeddings(tmp_path, capsys, method):
     assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl", *extra, config=config) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --embeddings") and err.count("\n") == 1
+    assert not (tmp_path / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("method", ["max", "count"])
+def test_retrieve_refuses_an_unread_corpus(tmp_path, capsys, method):
+    # max and count rank through the database alone; a corpus path there was never read
+    config = tmp_path / "run.txt"
+    config.write_text(f"retrieval_method = {method}\n")
+    extra = ["--corpus", str(tmp_path / "no-such-file.jsonl")]
+    assert _retrieve(tmp_path, _db(tmp_path), "results.jsonl", *extra, config=config) == 2
+    assert capsys.readouterr().err == (
+        "error: --corpus holds passages; only the direct method reads it\n")
     assert not (tmp_path / "results.jsonl").exists()
 
 

@@ -77,3 +77,31 @@ def test_a_lone_surrogate_escape_raises_the_callers_error(escape):
 def test_an_escaped_surrogate_pair_loads_as_its_character():
     lines = ['{"id": "\\ud83d\\ude00", "text": "C:\\\\users"}']
     assert list(jsonl.parse_lines(lines)) == [(1, {"id": "\U0001f600", "text": "C:\\users"})]
+
+
+def test_check_returns_what_make_builds_or_the_record_itself():
+    shape = {"id": str, "n": int}
+    record = {"id": "a", "n": 2, "extra": None}
+    assert jsonl.check(record, shape, "in.jsonl", 1) is record
+    assert jsonl.check(record, shape, "in.jsonl", 1, make=lambda r: r["n"] + 1) == 3
+
+
+@pytest.mark.parametrize(("source", "where"), [("db.qadb", "db.qadb: line 4"), ("", "line 4")])
+def test_check_names_the_line_for_a_rule_that_make_breaks(source, where):
+    def make(record):
+        raise ValueError(f"qid {record['qid']} after 9; qids must ascend")
+
+    with pytest.raises(CorruptDatabase, match=f"^{where}: qid 3 after 9; qids must ascend$"):
+        jsonl.check({"qid": 3}, {"qid": int}, source, 4, CorruptDatabase, make)
+    with pytest.raises(ParseError, match=f"^{where}: qid 3 after 9"):
+        jsonl.check({"qid": 3}, {"qid": int}, source, 4, make=make)
+
+
+@pytest.mark.parametrize(("source", "where"), [("in.jsonl", "in.jsonl: line 2"), ("", "line 2")])
+def test_check_names_the_first_bad_field_before_calling_make(source, where):
+    def make(record):
+        raise AssertionError("make ran on a record of another shape")
+
+    shape = {"id": str, "n": int, "tags": [str]}
+    with pytest.raises(ParseError, match=f"^{where}: missing or mistyped field 'n'$"):
+        jsonl.check({"id": "a", "n": True, "tags": [1]}, shape, source, 2, make=make)

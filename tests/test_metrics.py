@@ -8,6 +8,7 @@ from fixtures import TableQABackend
 
 from qadb.errors import ContractViolation, ParseError
 from qadb.metrics import (
+    RECALL_KS,
     EvalExample,
     answer_recall_at_k,
     disambig_f1,
@@ -278,12 +279,14 @@ def test_evaluate_retrieval_excludes_single_answer_queries():
     report = evaluate_retrieval_recall(
         {"q1": ["alpha text", "beta text"], "q2": ["gamma text"]},
         _examples(),
-        ks=(1, 2),
     )
     assert "q1" in report.per_query
     assert "q2" not in report.per_query
     assert any("q2" in w for w in report.warnings)
-    assert report.per_query["q1"]["recall@1"] <= report.per_query["q1"]["recall@2"]
+    row = report.per_query["q1"]
+    assert list(row) == ["recall@1", "recall@5", "recall@10"]
+    assert row["recall@1"] <= row["recall@5"] <= row["recall@10"]
+    assert row["recall@1"] < row["recall@5"]  # beta is found at rank 2
 
 
 def test_macro_values_in_convex_hull():
@@ -293,10 +296,10 @@ def test_macro_values_in_convex_hull():
             EvalExample(query_id="q1", question="?", gold_answers=("alpha", "beta")),
             EvalExample(query_id="q3", question="?", gold_answers=("delta", "eps")),
         ],
-        ks=(1,),
     )
-    values = [row["recall@1"] for row in report.per_query.values()]
-    assert min(values) <= report.macro["recall@1"] <= max(values)
+    for k in RECALL_KS:
+        values = [row[f"recall@{k}"] for row in report.per_query.values()]
+        assert min(values) <= report.macro[f"recall@{k}"] <= max(values)
 
 
 def test_load_examples_parses_records():

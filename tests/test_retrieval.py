@@ -20,7 +20,7 @@ from oracles import bm25_scores_direct, count_aggregation_oracle, max_aggregatio
 from qadb import retrieval
 from qadb.corpus import Corpus, Passage
 from qadb.database import AnswerEntry, MergedQuestion, QADatabase
-from qadb.errors import ContractViolation, EmbeddingDimMismatch, ModeUnavailable
+from qadb.errors import ContractViolation, EmbeddingDimMismatch, ModeUnavailable, ParseError
 from qadb.retrieval import (
     QuestionIndex,
     RetrievalHit,
@@ -681,7 +681,7 @@ def test_vector_file_rejects_truncation(tmp_path):
     path = tmp_path / "vectors.qvec"
     save_vectors(str(path), matrix)
     path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=f"^{path}: expected 36 bytes, found 32$"):
         load_vectors(str(path))
 
 
